@@ -341,3 +341,47 @@ class TestCompress:
                           RetentionConfig(ratio=0.05, min_tokens_per_frame=2))
         assert (result.allocation.per_frame_count >= 2).all()
         assert all(len(i) >= 2 for i in result.selection.kept_indices)
+
+    def test_oracle_equivalence_at_channel_widths(self, rng):
+        # Widths 5..70 reach the four-channel blocks of the reduction kernel
+        # and every tail length; the stage functions must match as well.
+        modes = list(ScoreMode)
+        for _ in range(200):
+            frames = int(rng.integers(1, 7))
+            tokens = int(rng.integers(1, 41))
+            dim = int(rng.integers(5, 71))
+            values = rng.standard_normal((frames, tokens, dim)).astype(np.float32)
+            t = TokenTensor.from_array(values)
+            window = "global" if rng.random() < 0.4 else int(rng.integers(1, frames + 1))
+            cfg = RetentionConfig(
+                ratio=float(rng.uniform(0.05, 1.0)),
+                window=window,
+                adjustment=Adjustment.UNIFORM if rng.random() < 0.3 else Adjustment.ADAPTIVE,
+                frame_aggregation=Aggregation.MAX if rng.random() < 0.5 else Aggregation.MEAN,
+                score_mode=modes[int(rng.integers(0, len(modes)))],
+                alpha=float(rng.uniform(0.1, 2.0)),
+                beta=float(rng.uniform(0.1, 2.0)),
+            )
+            got = compress(t, cfg, threads=int(rng.integers(1, 3)))
+            ref = reference_compress(
+                tensor_to_lists(values),
+                cfg.ratio,
+                window=None if window == "global" else window,
+                aggregation=cfg.frame_aggregation.value,
+                score_mode=cfg.score_mode.value,
+                alpha=cfg.alpha,
+                beta=cfg.beta,
+                adjustment=cfg.adjustment.value,
+            )
+            assert np.array_equal(got.report.video_score, np.array(ref["u_video"]))
+            assert np.array_equal(got.report.frame_score, np.array(ref["u_frame"]))
+            assert np.array_equal(got.report.combined_score, np.array(ref["combined"]))
+            assert np.array_equal(got.report.frame_uniqueness, np.array(ref["u_t"]))
+            assert np.array_equal(got.report.frame_weight, np.array(ref["sigma"]))
+            assert np.array_equal(got.allocation.per_frame_ratio, np.array(ref["r"]))
+            assert np.array_equal(got.allocation.per_frame_count, np.array(ref["k"]))
+            assert [i.tolist() for i in got.selection.kept_indices] == ref["kept"]
+            assert np.array_equal(video_uniqueness(t, global_pool(t, window)),
+                                  np.array(ref["u_video"]))
+            assert np.array_equal(frame_token_uniqueness(t, frame_pool(t)),
+                                  np.array(ref["u_frame"]))
