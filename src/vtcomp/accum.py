@@ -20,6 +20,8 @@ loop adds whole channel rows, a channel loop adds whole token planes, and
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 
@@ -144,3 +146,54 @@ def clamped_cosines(dots: np.ndarray, token_norms: np.ndarray,
     np.divide(dots, denom, out=out, where=denom > 0.0)
     np.clip(out, -1.0, 1.0, out=out)
     return out
+
+
+def run_chunked(workers: int, frames: int, phase) -> None:
+    """Run phase(start, stop) over contiguous frame chunks.
+
+    Every per-frame quantity is computed independently of the chunking, so
+    output is bit-identical for any worker count; with one worker the phase
+    runs inline.
+    """
+    workers = min(max(1, workers), frames)
+    if workers == 1:
+        phase(0, frames)
+        return
+    base, extra = divmod(frames, workers)
+    bounds = []
+    pos = 0
+    for i in range(workers):
+        size = base + (1 if i < extra else 0)
+        bounds.append((pos, pos + size))
+        pos += size
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for future in [pool.submit(phase, a, b) for a, b in bounds]:
+            future.result()
+
+
+def uniqueness_grids(values: np.ndarray, pool_rows: list[np.ndarray],
+                     threads: int = 1) -> list[np.ndarray]:
+    """Minus the clamped cosine of every token to each pool matrix.
+
+    The one scoring pass: ``values`` (T, M, D') float32 is transposed and
+    reduced frame chunk by frame chunk against every (T, D') float64 matrix
+    in ``pool_rows`` at once, then each dot grid becomes one (T, M) grid of
+    uniqueness scores in [-1, 1].
+    """
+    frames, tokens, dim = values.shape
+    channel_major = np.empty((dim, frames * tokens), dtype=np.float32)
+    sq = np.empty((frames, tokens), dtype=np.float64)
+    dots = [np.empty((frames, tokens), dtype=np.float64) for _ in pool_rows]
+
+    def reduce_phase(a: int, b: int) -> None:
+        transpose_tokens(values, out=channel_major, start=a, stop=b)
+        part_sq, parts = token_reductions(channel_major, frames, tokens, pool_rows, a, b)
+        sq[a:b] = part_sq
+        for grid, part in zip(dots, parts):
+            grid[a:b] = part
+
+    run_chunked(threads, frames, reduce_phase)
+
+    token_norms = np.sqrt(sq)
+    return [-clamped_cosines(grid, token_norms, row_norms(rows)[:, None])
+            for grid, rows in zip(dots, pool_rows)]

@@ -81,14 +81,7 @@ def video_uniqueness(tensor: TokenTensor, pools: PoolAssignment) -> np.ndarray:
     Lower similarity to the pooled summary means higher uniqueness, so the
     grid lies in [-1, 1] with -1 for tokens aligned with the summary.
     """
-    frames, tokens, _ = tensor.values.shape
-    channel_major = accum.transpose_tokens(tensor.values)
-    sq, (dots,) = accum.token_reductions(
-        channel_major, frames, tokens, [pools.per_frame()]
-    )
-    pool_norms = accum.row_norms(pools.vectors)[pools.frame_pool_index]
-    sims = accum.clamped_cosines(dots, np.sqrt(sq), pool_norms[:, None])
-    return -sims
+    return accum.uniqueness_grids(tensor.values, [pools.per_frame()])[0]
 
 
 def frame_uniqueness(u_video: np.ndarray, aggregation: Aggregation = Aggregation.MEAN) -> np.ndarray:

@@ -8,7 +8,6 @@ runs both stages end to end and returns every intermediate artifact.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -47,16 +46,12 @@ def frame_pool(tensor: TokenTensor) -> np.ndarray:
 
 def frame_token_uniqueness(tensor: TokenTensor, pools: np.ndarray) -> np.ndarray:
     """Per-token frame-level uniqueness: minus cosine to the frame pool."""
-    frames, tokens, _ = tensor.values.shape
     rows = np.asarray(pools, dtype=np.float64)
-    if rows.shape != (frames, tensor.dim):
+    if rows.shape != (tensor.frames, tensor.dim):
         raise ShapeMismatchError(
-            f"expected ({frames}, {tensor.dim}) pools, got {rows.shape}"
+            f"expected ({tensor.frames}, {tensor.dim}) pools, got {rows.shape}"
         )
-    channel_major = accum.transpose_tokens(tensor.values)
-    sq, (dots,) = accum.token_reductions(channel_major, frames, tokens, [rows])
-    sims = accum.clamped_cosines(dots, np.sqrt(sq), accum.row_norms(rows)[:, None])
-    return -sims
+    return accum.uniqueness_grids(tensor.values, [rows])[0]
 
 
 def combine_scores(u_frame, u_video, mode: ScoreMode = ScoreMode.COMBINED,
@@ -97,29 +92,6 @@ def topk_select(scores, k: int) -> np.ndarray:
     return picked
 
 
-def _run_chunked(workers: int, frames: int, phase) -> None:
-    """Run phase(start, stop) over contiguous frame chunks.
-
-    Every per-frame quantity is computed independently of the chunking, so
-    output is bit-identical for any worker count; with one worker the phase
-    runs inline.
-    """
-    workers = min(max(1, workers), frames)
-    if workers == 1:
-        phase(0, frames)
-        return
-    base, extra = divmod(frames, workers)
-    bounds = []
-    pos = 0
-    for i in range(workers):
-        size = base + (1 if i < extra else 0)
-        bounds.append((pos, pos + size))
-        pos += size
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(phase, a, b) for a, b in bounds]:
-            future.result()
-
-
 def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
              threads: int = 1) -> CompressResult:
     """Run the full two-stage pipeline on a validated tensor.
@@ -142,33 +114,12 @@ def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
     def sum_phase(a: int, b: int) -> None:
         frame_sums[a:b] = accum.frame_token_sums(values[a:b])
 
-    _run_chunked(threads, frames, sum_phase)
+    accum.run_chunked(threads, frames, sum_phase)
 
     pools = pools_from_frame_sums(frame_sums, tokens, edges)
-    pool_by_frame = pools.per_frame()
-    frame_pools = frame_sums / tokens
-
-    channel_major = np.empty((dim, frames * tokens), dtype=np.float32)
-    sq = np.empty((frames, tokens), dtype=np.float64)
-    dot_video = np.empty((frames, tokens), dtype=np.float64)
-    dot_frame = np.empty((frames, tokens), dtype=np.float64)
-
-    def reduce_phase(a: int, b: int) -> None:
-        accum.transpose_tokens(values, out=channel_major, start=a, stop=b)
-        part_sq, (part_v, part_f) = accum.token_reductions(
-            channel_major, frames, tokens, [pool_by_frame, frame_pools], a, b
-        )
-        sq[a:b] = part_sq
-        dot_video[a:b] = part_v
-        dot_frame[a:b] = part_f
-
-    _run_chunked(threads, frames, reduce_phase)
-
-    token_norms = np.sqrt(sq)
-    video_pool_norms = accum.row_norms(pools.vectors)[pools.frame_pool_index]
-    frame_pool_norms = accum.row_norms(frame_pools)
-    u_video = -accum.clamped_cosines(dot_video, token_norms, video_pool_norms[:, None])
-    u_frame = -accum.clamped_cosines(dot_frame, token_norms, frame_pool_norms[:, None])
+    u_video, u_frame = accum.uniqueness_grids(
+        values, [pools.per_frame(), frame_sums / tokens], threads
+    )
 
     u_t = frame_uniqueness(u_video, config.frame_aggregation)
     sigma = softmax_weights(u_t, config.temperature, config.epsilon)
@@ -182,18 +133,10 @@ def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
     combined = combine_scores(u_frame, u_video, config.score_mode,
                               config.alpha, config.beta)
 
-    kept: list = [None] * frames
-    blocks: list = [None] * frames
     counts = allocation.per_frame_count
+    kept = tuple(topk_select(combined[t], int(counts[t])) for t in range(frames))
+    blocks = tuple(values[t, idx, :] for t, idx in enumerate(kept))
 
-    def select_phase(a: int, b: int) -> None:
-        for t in range(a, b):
-            idx = topk_select(combined[t], int(counts[t]))
-            kept[t] = idx
-            blocks[t] = values[t, idx, :]
-
-    _run_chunked(threads, frames, select_phase)
-
-    selection = CompressedSelection(tuple(kept), tuple(blocks))
+    selection = CompressedSelection(kept, blocks)
     report = ScoreReport(u_video, u_frame, combined, u_t, sigma)
     return CompressResult(selection, allocation, report)

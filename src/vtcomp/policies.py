@@ -54,7 +54,7 @@ class Policy:
         if self.name == "random":
             return random_drop(tensor, cfg.ratio, self.seed)
         if self.name == "uniform":
-            return uniform_topk(tensor, cfg, threads=threads)
+            cfg = replace(cfg, adjustment=Adjustment.UNIFORM)
         return compress(tensor, cfg, threads=threads).selection
 
 
@@ -84,12 +84,5 @@ def random_drop(tensor: TokenTensor, ratio: float, seed: int) -> CompressedSelec
 
 def uniform_topk(tensor: TokenTensor, config: RetentionConfig | None = None,
                  threads: int = 1) -> CompressedSelection:
-    """Top-k selection under a fixed per-frame ratio (no budget adjustment).
-
-    Identical to running the pipeline with uniform adjustment; exposed as a
-    policy so harnesses can compare it by name.
-    """
-    cfg = config or RetentionConfig()
-    if cfg.adjustment is not Adjustment.UNIFORM:
-        cfg = replace(cfg, adjustment=Adjustment.UNIFORM)
-    return compress(tensor, cfg, threads=threads).selection
+    """Top-k selection under a fixed per-frame ratio: the "uniform" policy."""
+    return Policy("uniform", config).run(tensor, threads)
