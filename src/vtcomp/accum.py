@@ -159,13 +159,7 @@ def run_chunked(workers: int, frames: int, phase) -> None:
     if workers == 1:
         phase(0, frames)
         return
-    base, extra = divmod(frames, workers)
-    bounds = []
-    pos = 0
-    for i in range(workers):
-        size = base + (1 if i < extra else 0)
-        bounds.append((pos, pos + size))
-        pos += size
+    bounds = [(frames * i // workers, frames * (i + 1) // workers) for i in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for future in [pool.submit(phase, a, b) for a, b in bounds]:
             future.result()

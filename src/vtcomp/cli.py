@@ -9,6 +9,7 @@ status is 0 on success, 2 for flag problems, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -215,12 +216,36 @@ def _cmd_compress(args) -> None:
     tensor = read_vtok(args.input)
     selection = policy.run(tensor, threads=args.threads)
     padded, counts = selection.padded()
-    write_vtok(TokenTensor.from_array(padded), args.output)
     sidecar = f"{args.output}.indices.csv"
-    export_indices(selection, sidecar)
+    # The padded block holds bit copies of validated rows plus zero rows,
+    # so it is wrapped as is rather than copied and validated again.
+    _write_together([
+        (args.output, lambda path: write_vtok(TokenTensor(padded), path)),
+        (sidecar, lambda path: export_indices(selection, path)),
+    ])
     print(f"{policy.descriptor}: kept {selection.total_kept} of "
           f"{tensor.frames * tensor.tokens_per_frame} tokens "
           f"(padded width {padded.shape[1]}); indices in {sidecar}")
+
+
+def _write_together(writes) -> None:
+    """Run each write(temp) beside its path, then replace all paths or none.
+
+    On failure the temporaries and any path already replaced are removed.
+    """
+    temps = [f"{path}.{os.getpid()}.tmp" for path, _ in writes]
+    moved = []
+    try:
+        for (_, write), temp in zip(writes, temps):
+            write(temp)
+        for (path, _), temp in zip(writes, temps):
+            os.replace(temp, path)
+            moved.append(path)
+    except BaseException:
+        for leftover in temps + moved:
+            with contextlib.suppress(OSError):
+                os.remove(leftover)
+        raise
 
 
 def _jaccard(sel_a, sel_b) -> float:

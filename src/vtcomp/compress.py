@@ -48,9 +48,7 @@ def frame_token_uniqueness(tensor: TokenTensor, pools: np.ndarray) -> np.ndarray
     """Per-token frame-level uniqueness: minus cosine to the frame pool."""
     rows = np.asarray(pools, dtype=np.float64)
     if rows.shape != (tensor.frames, tensor.dim):
-        raise ShapeMismatchError(
-            f"expected ({tensor.frames}, {tensor.dim}) pools, got {rows.shape}"
-        )
+        raise ShapeMismatchError(f"expected {(tensor.frames, tensor.dim)} pools, got {rows.shape}")
     return accum.uniqueness_grids(tensor.values, [rows])[0]
 
 
@@ -135,8 +133,6 @@ def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
 
     counts = allocation.per_frame_count
     kept = tuple(topk_select(combined[t], int(counts[t])) for t in range(frames))
-    blocks = tuple(values[t, idx, :] for t, idx in enumerate(kept))
-
-    selection = CompressedSelection(kept, blocks)
+    selection = CompressedSelection(kept, tuple(values[t, idx, :] for t, idx in enumerate(kept)))
     report = ScoreReport(u_video, u_frame, combined, u_t, sigma)
     return CompressResult(selection, allocation, report)

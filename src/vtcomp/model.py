@@ -10,6 +10,7 @@ safe to share read-only between threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,28 +64,22 @@ class TokenTensor:
 
         The data is always copied so the tensor cannot alias caller memory.
         """
-        values = np.array(array, dtype=np.float32, order="C", copy=True)
-        if values.ndim != 3:
-            raise DimensionMismatchError(
-                f"expected 3 axes (frames, tokens, channels), got {values.ndim}"
-            )
-        tensor = cls(_freeze(values))
+        tensor = cls(_freeze(np.array(array, dtype=np.float32, order="C", copy=True)))
         validate(tensor)
         return tensor
 
     @classmethod
     def from_flat(cls, frames: int, tokens_per_frame: int, dim: int, data) -> "TokenTensor":
-        """Build from a row-major flat buffer, checking the length exactly."""
-        flat = np.array(data, dtype=np.float32, copy=True).reshape(-1)
+        """Build from a row-major flat buffer: check the length exactly, then
+        copy and validate through :meth:`from_array`."""
+        flat = np.asarray(data, dtype=np.float32).reshape(-1)
         expected = frames * tokens_per_frame * dim
         if flat.size != expected:
             raise DimensionMismatchError(
                 f"flat data has {flat.size} values, expected "
                 f"{frames}*{tokens_per_frame}*{dim} = {expected}"
             )
-        tensor = cls(_freeze(flat.reshape(frames, tokens_per_frame, dim)))
-        validate(tensor)
-        return tensor
+        return cls.from_array(flat.reshape(frames, tokens_per_frame, dim))
 
 
 def validate(tensor: TokenTensor) -> None:
@@ -181,21 +176,25 @@ class RetentionConfig:
         object.__setattr__(self, "score_mode", ScoreMode(self.score_mode))
         if not (0.0 < self.ratio <= 1.0):
             raise ConfigError(f"ratio must be in (0, 1], got {self.ratio}")
-        if not self.temperature > 0.0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ConfigError("alpha and beta must be non-negative")
+        for name in ("temperature", "epsilon"):
+            if not 0.0 < (value := getattr(self, name)) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        for name in ("alpha", "beta"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:
+                raise ConfigError(f"{name} must be non-negative and finite, got {value}")
         if self.alpha + self.beta <= 0.0:
             raise ConfigError("alpha + beta must be positive")
-        if self.min_tokens_per_frame < 1:
-            raise ConfigError("min_tokens_per_frame must be >= 1")
+        object.__setattr__(self, "min_tokens_per_frame",
+                           _positive_int("min_tokens_per_frame", self.min_tokens_per_frame))
         if self.window != "global":
-            if not isinstance(self.window, int) or isinstance(self.window, bool):
-                raise ConfigError(f"window must be 'global' or a positive int, got {self.window!r}")
-            if self.window < 1:
-                raise ConfigError(f"window must be >= 1, got {self.window}")
+            object.__setattr__(self, "window", _positive_int("window", self.window))
+
+
+def _positive_int(name: str, value) -> int:
+    """``value`` as a plain int >= 1; numpy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be a positive int, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

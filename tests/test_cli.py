@@ -157,6 +157,16 @@ class TestCompress:
         assert len(sidecar) == 1 + 2 * 49
 
 
+    def test_failed_sidecar_leaves_no_output(self, capsys, tmp_path):
+        src = gen(capsys, tmp_path)
+        out = tmp_path / "c.vtok"
+        (tmp_path / "c.vtok.indices.csv").mkdir()
+        code, _, err = run(capsys, "compress", "-i", str(src), "-o", str(out))
+        assert code == 1
+        assert err.startswith("error: io:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.vtok.indices.csv", "v.vtok"]
+
+
 class TestAblate:
     def test_matrix_covers_all_combinations(self, capsys, tmp_path):
         src = gen(capsys, tmp_path, frames=4, tokens=6, dim=4)
@@ -265,6 +275,14 @@ class TestErrorSurface:
                            "--ratio", "2.0")
         assert code == 2
         assert err.startswith("error: flag:")
+
+    def test_non_finite_flag_value(self, capsys, tmp_path):
+        src = gen(capsys, tmp_path)
+        code, _, err = run(capsys, "compress", "-i", str(src), "-o",
+                           str(tmp_path / "c.vtok"), "--tau", "inf")
+        assert code == 2
+        assert err.startswith("error: flag:")
+        assert not (tmp_path / "c.vtok").exists()
 
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "bench", "--bogus", "1")

@@ -10,6 +10,7 @@ from vtcomp import (
     NonFiniteError,
     RetentionConfig,
     TokenTensor,
+    compress,
     cosine,
     validate,
 )
@@ -158,6 +159,34 @@ class TestRetentionConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             RetentionConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha": float("nan")},
+            {"epsilon": float("inf")},
+            {"temperature": float("inf")},
+            {"beta": float("inf")},
+            {"min_tokens_per_frame": 2.5},
+            {"window": np.int64(2)},
+        ],
+        ids=["alpha-nan", "epsilon-inf", "temperature-inf", "beta-inf",
+             "min-tokens-fractional", "window-numpy-int"],
+    )
+    def test_undefined_values_rejected_numpy_ints_accepted(self, kwargs):
+        # Non-finite weights leave the output undefined: on a 4x8x3 tensor
+        # epsilon=inf flattens budgets [4,2,2,2] to [2,2,2,2] and alpha=nan
+        # makes every combined score NaN.  Numpy integers are plain counts.
+        (name, value), = kwargs.items()
+        if isinstance(value, np.integer):
+            cfg = RetentionConfig(**kwargs)
+            assert getattr(cfg, name) == int(value)
+            assert type(getattr(cfg, name)) is int
+            values = np.random.default_rng(3).standard_normal((4, 8, 3))
+            compress(TokenTensor.from_array(values), cfg)
+        else:
+            with pytest.raises(ConfigError):
+                RetentionConfig(**kwargs)
 
     def test_string_enums_coerced(self):
         cfg = RetentionConfig(adjustment="uniform", frame_aggregation="max",
