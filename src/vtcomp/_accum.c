@@ -1,0 +1,179 @@
+/* Pinned-order accumulation kernels behind vtcomp.accum.
+ *
+ * Each function gives, bit for bit, the result of the numpy body of the
+ * Python function of the same name: every float64 accumulator starts at 0.0
+ * and receives its addends in the same order (tokens ascending for frame
+ * sums, channels left to right for reductions).  The compiler may vectorize
+ * across independent accumulators, but must never reassociate one
+ * accumulator's additions or fuse a multiply into an add, so this file is
+ * built with -ffp-contract=off and without -ffast-math.
+ *
+ * Arrays are C-contiguous; the Python side checks shapes, dtypes and
+ * bounds before passing pointers.
+ */
+
+#include <stddef.h>
+#include <stdint.h>
+
+/* Columns of one reduction tile: its float64 accumulators (the squared
+ * norms plus one dot row per pool matrix) stay in L1. */
+#define TILE 512
+/* Tokens and channels per transpose block. */
+#define BLOCK 16
+
+static ptrdiff_t min_pd(ptrdiff_t a, ptrdiff_t b) { return a < b ? a : b; }
+
+/* (frames, tokens, dim) float32 -> (frames, dim) float64, tokens added in
+ * ascending order within each frame. */
+void frame_token_sums(const float *restrict values, ptrdiff_t frames,
+                      ptrdiff_t tokens, ptrdiff_t dim, double *restrict sums)
+{
+    for (ptrdiff_t t = 0; t < frames; t++) {
+        const float *frame = values + t * tokens * dim;
+        double *acc = sums + t * dim;
+        for (ptrdiff_t d = 0; d < dim; d++)
+            acc[d] = 0.0;
+        ptrdiff_t m = 0;
+        for (; m + 4 <= tokens; m += 4) {
+            const float *r0 = frame + m * dim, *r1 = r0 + dim, *r2 = r1 + dim, *r3 = r2 + dim;
+            for (ptrdiff_t d = 0; d < dim; d++)
+                acc[d] = acc[d] + (double)r0[d] + (double)r1[d] + (double)r2[d] + (double)r3[d];
+        }
+        for (; m < tokens; m++) {
+            const float *r0 = frame + m * dim;
+            for (ptrdiff_t d = 0; d < dim; d++)
+                acc[d] += (double)r0[d];
+        }
+    }
+}
+
+/* Frames [start, stop) of (frames, tokens, dim) into channel-major
+ * (dim, (stop - start) * tokens), in BLOCK x BLOCK tiles.  Full tiles get
+ * constant loop bounds, which lets the compiler unroll and vectorize them.
+ * Elements move as 32-bit words, so every bit pattern is kept. */
+void transpose_tokens(const uint32_t *restrict values, ptrdiff_t tokens,
+                      ptrdiff_t dim, ptrdiff_t start, ptrdiff_t stop,
+                      uint32_t *restrict out)
+{
+    ptrdiff_t cols = (stop - start) * tokens;
+    for (ptrdiff_t t = start; t < stop; t++) {
+        const uint32_t *src = values + t * tokens * dim;
+        uint32_t *dst = out + (t - start) * tokens;
+        for (ptrdiff_t c0 = 0; c0 < dim; c0 += BLOCK) {
+            ptrdiff_t c1 = min_pd(c0 + BLOCK, dim);
+            for (ptrdiff_t m0 = 0; m0 < tokens; m0 += BLOCK) {
+                ptrdiff_t m1 = min_pd(m0 + BLOCK, tokens);
+                if (c1 - c0 == BLOCK && m1 - m0 == BLOCK) {
+                    for (ptrdiff_t c = 0; c < BLOCK; c++)
+                        for (ptrdiff_t m = 0; m < BLOCK; m++)
+                            dst[(c0 + c) * cols + m0 + m] = src[(m0 + m) * dim + c0 + c];
+                } else {
+                    for (ptrdiff_t c = c0; c < c1; c++)
+                        for (ptrdiff_t m = m0; m < m1; m++)
+                            dst[c * cols + m] = src[m * dim + c];
+                }
+            }
+        }
+    }
+}
+
+/* One channel's contribution to one run of columns: acc[j] += x[j] * w[0]. */
+static void add_one(double *restrict acc, const float *restrict x, const double *w,
+                    ptrdiff_t n)
+{
+    for (ptrdiff_t j = 0; j < n; j++)
+        acc[j] += (double)x[j] * w[0];
+}
+
+/* Four channels' contributions, added in channel order: x holds channel c
+ * at x[j], channel c + 1 at x[cols + j] and so on; w[0..3] weigh them. */
+static void add_four(double *restrict acc, const float *restrict x, ptrdiff_t cols,
+                     const double *w, ptrdiff_t n)
+{
+    const float *x1 = x + cols, *x2 = x1 + cols, *x3 = x2 + cols;
+    double w0 = w[0], w1 = w[1], w2 = w[2], w3 = w[3];
+    for (ptrdiff_t j = 0; j < n; j++)
+        acc[j] = acc[j] + (double)x[j] * w0 + (double)x1[j] * w1
+                 + (double)x2[j] * w2 + (double)x3[j] * w3;
+}
+
+/* square_four and add_four for two pools in one pass over the four rows. */
+static void square_add2_four(double *restrict sq, double *restrict d0, double *restrict d1,
+                             const float *restrict x, ptrdiff_t cols, const double *w,
+                             const double *u, ptrdiff_t n)
+{
+    const float *x1 = x + cols, *x2 = x1 + cols, *x3 = x2 + cols;
+    double w0 = w[0], w1 = w[1], w2 = w[2], w3 = w[3];
+    double u0 = u[0], u1 = u[1], u2 = u[2], u3 = u[3];
+    for (ptrdiff_t j = 0; j < n; j++) {
+        double a = x[j], b = x1[j], e = x2[j], f = x3[j];
+        sq[j] = sq[j] + a * a + b * b + e * e + f * f;
+        d0[j] = d0[j] + a * w0 + b * w1 + e * w2 + f * w3;
+        d1[j] = d1[j] + a * u0 + b * u1 + e * u2 + f * u3;
+    }
+}
+
+static void square_one(double *restrict acc, const float *restrict x, ptrdiff_t n)
+{
+    for (ptrdiff_t j = 0; j < n; j++) {
+        double a = x[j];
+        acc[j] += a * a;
+    }
+}
+
+static void square_four(double *restrict acc, const float *restrict x, ptrdiff_t cols,
+                        ptrdiff_t n)
+{
+    const float *x1 = x + cols, *x2 = x1 + cols, *x3 = x2 + cols;
+    for (ptrdiff_t j = 0; j < n; j++) {
+        double a = x[j], b = x1[j], e = x2[j], f = x3[j];
+        acc[j] = acc[j] + a * a + b * b + e * e + f * f;
+    }
+}
+
+/* Squared norms and pool dot products of the tokens of frames
+ * [start, stop), read from the channel-major block ``cm`` of
+ * (dim, (stop - start) * tokens).  ``pools[p]`` is a (frames, dim) float64
+ * matrix; ``sq`` and each ``dots[p]`` receive (stop - start) * tokens
+ * values.  Each accumulator adds channels strictly left to right.
+ *
+ * Columns go in runs of at most TILE tokens of one frame, so a run shares
+ * one pool row and its accumulators stay in L1 while every channel of the
+ * run is read once. */
+void token_reductions(const float *restrict cm, ptrdiff_t dim, ptrdiff_t tokens,
+                      ptrdiff_t start, ptrdiff_t stop,
+                      const double *const *pools, ptrdiff_t npools,
+                      double *restrict sq, double *const *dots)
+{
+    ptrdiff_t cols = (stop - start) * tokens;
+    for (ptrdiff_t t = 0; t < stop - start; t++) {
+        for (ptrdiff_t j0 = t * tokens; j0 < (t + 1) * tokens; j0 += TILE) {
+            ptrdiff_t n = min_pd(j0 + TILE, (t + 1) * tokens) - j0;
+            for (ptrdiff_t j = 0; j < n; j++)
+                sq[j0 + j] = 0.0;
+            for (ptrdiff_t p = 0; p < npools; p++)
+                for (ptrdiff_t j = 0; j < n; j++)
+                    dots[p][j0 + j] = 0.0;
+            ptrdiff_t c = 0;
+            for (; c + 4 <= dim; c += 4) {
+                const float *x = cm + c * cols + j0;
+                ptrdiff_t row = (start + t) * dim + c, p = 0;
+                if (npools >= 2) {  /* the usual case: video and frame pool */
+                    square_add2_four(sq + j0, dots[0] + j0, dots[1] + j0, x, cols,
+                                     pools[0] + row, pools[1] + row, n);
+                    p = 2;
+                } else {
+                    square_four(sq + j0, x, cols, n);
+                }
+                for (; p < npools; p++)
+                    add_four(dots[p] + j0, x, cols, pools[p] + row, n);
+            }
+            for (; c < dim; c++) {
+                const float *x = cm + c * cols + j0;
+                square_one(sq + j0, x, n);
+                for (ptrdiff_t p = 0; p < npools; p++)
+                    add_one(dots[p] + j0, x, pools[p] + (start + t) * dim + c, n);
+            }
+        }
+    }
+}

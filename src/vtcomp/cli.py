@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import accum
 from .budget import window_edges
 from .compress import CompressResult, compress
 from .errors import ConfigError, VtcompError
@@ -54,6 +55,10 @@ def _window_value(text: str):
     if value < 1:
         raise argparse.ArgumentTypeError(f"window must be >= 1, got {value}")
     return value
+
+
+def _window_list(text: str) -> list:
+    return [_window_value(w.strip()) for w in text.split(",") if w.strip()]
 
 
 def _threads_value(text: str) -> int:
@@ -148,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     ablate = subs.add_parser("ablate", help="sweep configuration axes on one input")
     ablate.add_argument("--input", "-i", required=True)
     ablate.add_argument("--output", "-o", default=None, help="matrix CSV path")
-    ablate.add_argument("--windows", default=None,
+    ablate.add_argument("--windows", type=_window_list, default=None,
                         help="comma list of window sizes/'global' to sweep")
     _add_config_flags(ablate)
     ablate.set_defaults(func=_cmd_ablate)
@@ -271,7 +276,7 @@ def _cmd_ablate(args) -> None:
     base = _config_from(args)
     tensor = read_vtok(args.input)
     if args.windows:
-        windows = [_window_value(w.strip()) for w in args.windows.split(",") if w.strip()]
+        windows = args.windows
         if base.window not in windows:
             windows.insert(0, base.window)
     else:
@@ -325,10 +330,11 @@ def _cmd_bench(args) -> None:
     tokens_per_s = args.frames * args.tokens / (mean / 1000.0)
     peak_kb = _peak_rss_kb()
     if args.format == "csv":
-        print("frames,tokens,dim,iters,threads,mean_ms,p50_ms,p95_ms,tokens_per_s,peak_rss_kb")
+        print("frames,tokens,dim,iters,threads,mean_ms,p50_ms,p95_ms,tokens_per_s,"
+              "peak_rss_kb,kernel")
         peak = "" if peak_kb is None else peak_kb
         print(f"{args.frames},{args.tokens},{args.dim},{args.iters},{args.threads},"
-              f"{mean:.3f},{p50:.3f},{p95:.3f},{tokens_per_s:.1f},{peak}")
+              f"{mean:.3f},{p50:.3f},{p95:.3f},{tokens_per_s:.1f},{peak},{accum.KERNEL}")
     else:
         print(f"shape {args.frames}x{args.tokens}x{args.dim}, "
               f"{args.iters} iters, {args.threads} thread(s)")
@@ -336,6 +342,7 @@ def _cmd_bench(args) -> None:
         print(f"throughput: {tokens_per_s:.0f} tokens/s")
         if peak_kb is not None:
             print(f"peak rss: {peak_kb} KB")
+        print(f"kernel: {accum.KERNEL}")
 
 
 def _peak_rss_kb():

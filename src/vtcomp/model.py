@@ -24,6 +24,10 @@ from .errors import (
 )
 
 
+# Elements per finiteness block in ``validate``; a block never splits a frame.
+_FINITE_BLOCK = 1 << 16
+
+
 def _freeze(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -96,9 +100,14 @@ def validate(tensor: TokenTensor) -> None:
         raise DimensionMismatchError(f"expected float32 data, got {values.dtype}")
     if min(values.shape) < 1:
         raise DimensionMismatchError(f"every axis must be >= 1, got shape {values.shape}")
-    finite = np.isfinite(values.reshape(-1))
-    if not finite.all():
-        raise NonFiniteError(int(np.argmin(finite)))
+    # A block of whole frames at a time, so the mask stays about one frame's
+    # size rather than the whole tensor's.
+    frame_size = values.shape[1] * values.shape[2]
+    step = max(1, _FINITE_BLOCK // frame_size)
+    for t in range(0, values.shape[0], step):
+        finite = np.isfinite(values[t : t + step])
+        if not finite.all():
+            raise NonFiniteError(t * frame_size + int(np.argmin(finite.reshape(-1))))
 
 
 def cosine(a, b) -> float:

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from vtcomp import accum
 from vtcomp import RetentionConfig, TokenTensor, compress, read_vtok, write_vtok
 from vtcomp.cli import main
 
@@ -248,6 +250,17 @@ class TestBench:
         cells = row.split(",")
         assert float(cells[5]) > 0.0  # mean_ms
 
+    def test_reports_which_kernel_ran(self, capsys):
+        code, out, _ = run(capsys, "bench", "--frames", "2", "--tokens", "4",
+                           "--dim", "4", "--iters", "1")
+        assert code == 0
+        assert f"kernel: {accum.KERNEL}" in out.splitlines()
+        code, out, _ = run(capsys, "bench", "--frames", "2", "--tokens", "4",
+                           "--dim", "4", "--iters", "1", "--format", "csv")
+        header, row = out.strip().split("\n")
+        assert header.split(",")[-1] == "kernel"
+        assert row.split(",")[-1] == accum.KERNEL
+
 
 class TestErrorSurface:
     def test_missing_input_is_io_error(self, capsys, tmp_path):
@@ -294,6 +307,14 @@ class TestErrorSurface:
         code, _, err = run(capsys, "analyze", "-i", str(path), "--window", "wat")
         assert code == 2
         assert err.startswith("error: flag:")
+
+    @pytest.mark.parametrize("windows", ["0", "x", "global,-2"])
+    def test_bad_ablate_windows_is_flag_error(self, capsys, tmp_path, windows):
+        path = gen(capsys, tmp_path)
+        code, out, err = run(capsys, "ablate", "-i", str(path), "--windows", windows)
+        assert code == 2
+        assert err.startswith("error: flag:") and err.count("\n") == 1
+        assert out == ""
 
     def test_window_out_of_range_at_runtime(self, capsys, tmp_path):
         path = gen(capsys, tmp_path, frames=4)

@@ -1,8 +1,16 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vtcomp import accum
 from vtcomp import (
     Adjustment,
     Aggregation,
@@ -385,3 +393,95 @@ class TestCompress:
                                   np.array(ref["u_video"]))
             assert np.array_equal(frame_token_uniqueness(t, frame_pool(t)),
                                   np.array(ref["u_frame"]))
+
+
+def _numpy_body(fn, *args, **kwargs):
+    """Call an accum kernel with the compiled library hidden."""
+    lib = accum._lib
+    accum._lib = None
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        accum._lib = lib
+
+
+def _scaled(rng, shape, dtype):
+    """Signed values with magnitudes spread over 1e-18..1e18."""
+    return (rng.standard_normal(shape) * 10.0 ** rng.uniform(-18, 18, shape)).astype(dtype)
+
+
+# Prints the kernel in use and a digest of every compress output at a shape
+# that reaches the four-channel groups, their tail and both threaded passes.
+DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+import vtcomp
+from vtcomp import accum
+rng = np.random.default_rng(11)
+t = vtcomp.TokenTensor.from_array(rng.standard_normal((5, 37, 70)).astype(np.float32))
+r = vtcomp.compress(t, vtcomp.RetentionConfig(ratio=0.4, window=2), threads=2)
+h = hashlib.sha256()
+for a in (*vars(r.report).values(), r.allocation.per_frame_count, *r.selection.kept_indices,
+          *r.selection.compressed, accum.frame_token_sums(t.values)):
+    h.update(np.ascontiguousarray(a).tobytes())
+print(accum.KERNEL, h.hexdigest())
+"""
+
+
+class TestCompiledKernels:
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_compiler_present_means_compiled_kernel(self):
+        assert accum.KERNEL == "c"
+
+    @pytest.mark.skipif(accum.KERNEL != "c", reason="compiled kernel not loaded")
+    @given(
+        frames=st.integers(1, 6),
+        tokens=st.one_of(st.integers(1, 40), st.sampled_from([511, 512, 513, 1100])),
+        dim=st.integers(1, 70),
+        pools=st.integers(1, 3),
+        bounds=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_compiled_kernels_match_numpy_bodies(self, frames, tokens, dim, pools,
+                                                 bounds, seed):
+        rng = np.random.default_rng(seed)
+        values = _scaled(rng, (frames, tokens, dim), np.float32)
+        rows = [_scaled(rng, (frames, dim), np.float64) for _ in range(pools)]
+        start, stop = sorted(min(b, frames) for b in bounds)
+
+        sums = accum.frame_token_sums(values)
+        assert sums.tobytes() == _numpy_body(accum.frame_token_sums, values).tobytes()
+
+        block = accum.transpose_tokens(values, start=start, stop=stop)
+        expected = _numpy_body(accum.transpose_tokens, values, start=start, stop=stop)
+        assert block.tobytes() == expected.tobytes()
+
+        sq, dots = accum.token_reductions(block, frames, tokens, rows, start, stop)
+        ref_sq, ref_dots = _numpy_body(accum.token_reductions, block, frames, tokens,
+                                       rows, start, stop)
+        assert sq.tobytes() == ref_sq.tobytes()
+        assert [d.tobytes() for d in dots] == [d.tobytes() for d in ref_dots]
+
+    @pytest.mark.parametrize("broken", ["no-compiler", "unusable-cache"])
+    def test_fallback_gives_identical_bytes(self, broken, tmp_path):
+        package = Path(accum.__file__).parent
+        copy = tmp_path / "vtcomp"
+        shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(tmp_path))
+        if broken == "no-compiler":
+            env["PATH"] = ""
+        else:
+            (copy / "__pycache__").write_text("a file where the cache directory goes")
+
+        def digest(env):
+            proc = subprocess.run([sys.executable, "-c", DIGEST_SCRIPT], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.split()
+
+        kernel, fallback = digest(env)
+        assert kernel == "numpy"
+        assert not list(copy.glob("**/*.so"))
+        _, reference = digest(dict(os.environ, PYTHONPATH=str(package.parent)))
+        assert fallback == reference

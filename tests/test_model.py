@@ -76,6 +76,32 @@ class TestTokenTensor:
             with pytest.raises(DimensionMismatchError):
                 TokenTensor.from_flat(frames, tokens, dim, data[:-1])
 
+    @pytest.mark.parametrize("shape", [(5, 256, 512), (40, 8, 300)])
+    def test_first_non_finite_at_frame_edges(self, shape):
+        # validate checks blocks of whole frames; a fault at either edge of
+        # any frame (hence of any block), up to the very last element, is
+        # reported by its exact flat index, and the earlier of two wins.
+        frames, tokens, dim = shape
+        frame_size = tokens * dim
+        values = np.zeros(shape, dtype=np.float32)
+        flat = values.reshape(-1)
+        for t in range(frames):
+            first, last = t * frame_size, (t + 1) * frame_size - 1
+            for idx in (first, last):
+                flat[idx] = np.nan
+                with pytest.raises(NonFiniteError) as err:
+                    validate(TokenTensor(values))
+                assert err.value.flat_index == idx
+                flat[idx] = 0.0
+            if t + 1 < frames:
+                flat[last] = -np.inf
+                flat[last + 1] = np.nan
+                with pytest.raises(NonFiniteError) as err:
+                    validate(TokenTensor(values))
+                assert err.value.flat_index == last
+                flat[last] = flat[last + 1] = 0.0
+        validate(TokenTensor(values))
+
 
 class TestCosine:
     def test_identical_direction(self):
