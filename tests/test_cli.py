@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vtcomp import accum
-from vtcomp import RetentionConfig, TokenTensor, compress, read_vtok, write_vtok
+from vtcomp import (Adjustment, Aggregation, RetentionConfig, ScoreMode, TokenTensor,
+                    compress, read_vtok, write_vtok)
 from vtcomp.cli import main
 
 
@@ -219,6 +222,48 @@ class TestAblate:
                        "--windows", "global,2")[0] == 0
             outs.append((score_csv.read_bytes(), matrix_csv.read_bytes()))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("shape, flag, windows", [
+        ((16, 50, 67), None, ["global", 8, 4]),  # D not a multiple of 4
+        ((9, 1, 5), None, ["global", 4, 2]),  # one token per frame
+        ((12, 10, 8), "global,8,8,3", ["global", 8, 8, 3]),  # a duplicate window
+        ((10, 6, 12), "10,5", ["global", 10, 5]),  # window == frames
+    ])
+    def test_matrix_equals_one_compress_per_cell(self, capsys, tmp_path, shape,
+                                                 flag, windows, threads):
+        frames, tokens, dim = shape
+        src = gen(capsys, tmp_path, frames=frames, tokens=tokens, dim=dim,
+                  model="outlier", outlier=frames // 3, noise=0.3, seed=sum(shape))
+        out_csv = tmp_path / "m.csv"
+        argv = ["ablate", "-i", str(src), "-o", str(out_csv), "--threads", threads]
+        if flag is not None:
+            argv += ["--windows", flag]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+
+        tensor = read_vtok(src)
+        base = RetentionConfig()
+        base_kept = compress(tensor, base).selection.kept_indices
+        rows = ["score_mode,aggregation,adjustment,window,total_kept,budget_spread,"
+                "jaccard_vs_default"]
+        for mode in ScoreMode:
+            for agg in Aggregation:
+                for adj in Adjustment:
+                    for window in windows:
+                        cfg = replace(base, window=window, adjustment=adj,
+                                      frame_aggregation=agg, score_mode=mode)
+                        result = compress(tensor, cfg)
+                        counts = result.allocation.per_frame_count
+                        inter = union = 0
+                        for a, b in zip(result.selection.kept_indices, base_kept):
+                            inter += np.intersect1d(a, b).size
+                            union += np.union1d(a, b).size
+                        jaccard = inter / union if union else 1.0
+                        rows.append(f"{mode.value},{agg.value},{adj.value},{window},"
+                                    f"{result.selection.total_kept},"
+                                    f"{int(counts.max() - counts.min())},{jaccard:.6g}")
+        assert out_csv.read_bytes() == ("\n".join(rows) + "\n").encode()
 
     def test_uniform_spread_zero_adaptive_positive_on_outlier(self, capsys, tmp_path):
         src = gen(capsys, tmp_path, frames=8, tokens=12, dim=16,
