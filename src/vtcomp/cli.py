@@ -19,8 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import accum
-from .budget import window_edges
-from .compress import CompressResult, compress
+from .compress import CompressResult, compress, score_windows, select_tokens
 from .errors import ConfigError, VtcompError
 from .formats import (
     export_indices,
@@ -253,12 +252,18 @@ def _write_together(writes) -> None:
         raise
 
 
-def _jaccard(sel_a, sel_b) -> float:
-    inter = 0
-    union = 0
-    for a, b in zip(sel_a.kept_indices, sel_b.kept_indices):
-        inter += np.intersect1d(a, b).size
-        union += np.union1d(a, b).size
+def _keep_mask(selection, tokens: int) -> np.ndarray:
+    """(T, M) boolean mask of the tokens a selection keeps."""
+    kept = selection.kept_indices
+    mask = np.zeros((len(kept), tokens), dtype=bool)
+    rows = np.repeat(np.arange(len(kept)), [len(idx) for idx in kept])
+    mask[rows, np.concatenate(kept)] = True
+    return mask
+
+
+def _jaccard(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
+    inter = int(np.count_nonzero(mask_a & mask_b))
+    union = int(np.count_nonzero(mask_a | mask_b))
     return inter / union if union else 1.0
 
 
@@ -281,10 +286,11 @@ def _cmd_ablate(args) -> None:
             windows.insert(0, base.window)
     else:
         windows = _default_windows(tensor.frames, base.window)
-    for w in windows:
-        window_edges(tensor.frames, w)  # validate before the sweep starts
-
+    # Every window is validated and scored in one pass up front, so each
+    # cell below only selects.
+    u_frame, u_videos = score_windows(tensor, windows, threads=args.threads)
     base_selection = compress(tensor, base, threads=args.threads).selection
+    base_mask = _keep_mask(base_selection, tensor.tokens_per_frame)
 
     header = "score_mode,aggregation,adjustment,window,total_kept,budget_spread,jaccard_vs_default"
     rows = []
@@ -294,13 +300,14 @@ def _cmd_ablate(args) -> None:
                 for window in windows:
                     cfg = replace(base, window=window, adjustment=adj,
                                   frame_aggregation=agg, score_mode=mode)
-                    result = compress(tensor, cfg, threads=args.threads)
+                    result = select_tokens(tensor, cfg, u_frame, u_videos[window])
                     counts = result.allocation.per_frame_count
+                    mask = _keep_mask(result.selection, tensor.tokens_per_frame)
                     rows.append(
                         f"{mode.value},{agg.value},{adj.value},{window},"
                         f"{result.selection.total_kept},"
                         f"{int(counts.max() - counts.min())},"
-                        f"{_jaccard(result.selection, base_selection):.6g}"
+                        f"{_jaccard(mask, base_mask):.6g}"
                     )
     text = "\n".join([header] + rows) + "\n"
     if args.output:
@@ -369,6 +376,9 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -3,7 +3,9 @@
 Builds on stage 1: tokens are scored against their own frame's mean and the
 video-level pool, the two uniqueness scores combine into one ranking, and
 each frame keeps its budgeted top-k tokens in original order.  ``compress``
-runs both stages end to end and returns every intermediate artifact.
+runs both stages end to end and returns every intermediate artifact; it is
+``score_windows`` followed by ``select_tokens``, so a caller that varies
+only budgets and selection over a few windows scores the input once.
 """
 
 from __future__ import annotations
@@ -90,22 +92,20 @@ def topk_select(scores, k: int) -> np.ndarray:
     return picked
 
 
-def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
-             threads: int = 1) -> CompressResult:
-    """Run the full two-stage pipeline on a validated tensor.
+def score_windows(tensor: TokenTensor, windows: list, threads: int = 1
+                  ) -> tuple[np.ndarray, dict]:
+    """Frame-level uniqueness plus one video-level grid per pooling window.
 
-    Stage 1 pools the video (optionally in frame windows), scores video-level
-    token uniqueness, aggregates it per frame, and softmax-allocates
-    per-frame budgets around the preset ratio (uniform adjustment keeps the
-    preset ratio everywhere instead).  Stage 2 adds frame-level uniqueness,
-    combines the scores, and extracts each frame's top-k tokens.  Returns
-    the selection plus the budget and score intermediates.
+    The scoring pass of :func:`compress`, shared by every window: frame
+    sums, one pool matrix per distinct window, then one ``uniqueness_grids``
+    call that reduces every token against all pools and the frame means at
+    once.  Each grid is bit-identical to the one a single-window call
+    gives.  Returns ``(u_frame, {window: u_video})``; every window is
+    validated before any work starts.
     """
-    if config is None:
-        config = RetentionConfig()
     values = tensor.values
     frames, tokens, dim = values.shape
-    edges = window_edges(frames, config.window)
+    edges = {window: window_edges(frames, window) for window in windows}
 
     frame_sums = np.zeros((frames, dim), dtype=np.float64)
 
@@ -114,11 +114,22 @@ def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
 
     accum.run_chunked(threads, frames, sum_phase)
 
-    pools = pools_from_frame_sums(frame_sums, tokens, edges)
-    u_video, u_frame = accum.uniqueness_grids(
-        values, [pools.per_frame(), frame_sums / tokens], threads
-    )
+    pools = [pools_from_frame_sums(frame_sums, tokens, e).per_frame() for e in edges.values()]
+    *u_videos, u_frame = accum.uniqueness_grids(values, pools + [frame_sums / tokens], threads)
+    return u_frame, dict(zip(edges, u_videos))
 
+
+def select_tokens(tensor: TokenTensor, config: RetentionConfig,
+                  u_frame: np.ndarray, u_video: np.ndarray) -> CompressResult:
+    """Budgets and top-k selection from precomputed uniqueness grids.
+
+    Aggregates ``u_video`` per frame, softmax-allocates per-frame budgets
+    around the preset ratio (uniform adjustment keeps the preset ratio
+    everywhere instead), combines both grids and keeps each frame's top-k
+    tokens.  ``u_video`` must come from ``config.window``'s pools.
+    """
+    values = tensor.values
+    frames, tokens, _ = values.shape
     u_t = frame_uniqueness(u_video, config.frame_aggregation)
     sigma = softmax_weights(u_t, config.temperature, config.epsilon)
     if config.adjustment is Adjustment.ADAPTIVE:
@@ -136,3 +147,19 @@ def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
     selection = CompressedSelection(kept, tuple(values[t, idx, :] for t, idx in enumerate(kept)))
     report = ScoreReport(u_video, u_frame, combined, u_t, sigma)
     return CompressResult(selection, allocation, report)
+
+
+def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
+             threads: int = 1) -> CompressResult:
+    """Run the full two-stage pipeline on a validated tensor.
+
+    Stage 1 pools the video (optionally in frame windows), scores video-level
+    token uniqueness, aggregates it per frame, and softmax-allocates
+    per-frame budgets.  Stage 2 adds frame-level uniqueness, combines the
+    scores, and extracts each frame's top-k tokens.  Returns the selection
+    plus the budget and score intermediates.
+    """
+    if config is None:
+        config = RetentionConfig()
+    u_frame, u_video = score_windows(tensor, [config.window], threads)
+    return select_tokens(tensor, config, u_frame, u_video[config.window])

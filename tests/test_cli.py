@@ -361,6 +361,18 @@ class TestErrorSurface:
         assert err.startswith("error: flag:") and err.count("\n") == 1
         assert out == ""
 
+    def test_memory_error_is_one_line(self, capsys, tmp_path, monkeypatch):
+        import vtcomp.cli
+
+        def exhausted(path):
+            raise MemoryError("cannot allocate the payload")
+
+        monkeypatch.setattr(vtcomp.cli, "read_vtok", exhausted)
+        code, out, err = run(capsys, "analyze", "-i", str(tmp_path / "v.vtok"))
+        assert code == 1
+        assert err == "error: memory: cannot allocate the payload\n"
+        assert out == ""
+
     def test_window_out_of_range_at_runtime(self, capsys, tmp_path):
         path = gen(capsys, tmp_path, frames=4)
         code, _, err = run(capsys, "analyze", "-i", str(path), "--window", "9")

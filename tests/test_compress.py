@@ -438,7 +438,7 @@ class TestCompiledKernels:
         frames=st.integers(1, 6),
         tokens=st.one_of(st.integers(1, 40), st.sampled_from([511, 512, 513, 1100])),
         dim=st.integers(1, 70),
-        pools=st.integers(1, 3),
+        pools=st.integers(1, 6),
         bounds=st.tuples(st.integers(0, 6), st.integers(0, 6)),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -462,6 +462,11 @@ class TestCompiledKernels:
                                        rows, start, stop)
         assert sq.tobytes() == ref_sq.tobytes()
         assert [d.tobytes() for d in dots] == [d.tobytes() for d in ref_dots]
+
+        # A grid does not depend on the other pool matrices in the call.
+        grids = accum.uniqueness_grids(values, rows)
+        for matrix, grid in zip(rows, grids):
+            assert grid.tobytes() == accum.uniqueness_grids(values, [matrix])[0].tobytes()
 
     @pytest.mark.parametrize("broken", ["no-compiler", "unusable-cache"])
     def test_fallback_gives_identical_bytes(self, broken, tmp_path):
