@@ -15,11 +15,12 @@ import os
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from . import accum
-from .compress import CompressResult, compress, score_windows, select_tokens
+from .compress import CompressResult, compress, score_windows, select_indices
 from .errors import ConfigError, VtcompError
 from .formats import (
     export_indices,
@@ -183,7 +184,7 @@ def _cmd_gen(args) -> None:
         seed=args.seed,
     )
     tensor = generate(spec)
-    write_vtok(tensor, args.output)
+    _write_together([(args.output, lambda path: write_vtok(tensor, path))])
     size = os.path.getsize(args.output)
     print(f"wrote {args.output}: {tensor.frames}x{tensor.tokens_per_frame}x"
           f"{tensor.dim} ({args.model}, seed {args.seed}, {size} bytes)")
@@ -206,12 +207,14 @@ def _cmd_analyze(args) -> None:
     tensor = read_vtok(args.input)
     result = compress(tensor, config, threads=args.threads)
     out = args.output if args.output else f"{args.input}.scores.csv"
-    export_scores(result.report, result.allocation, out)
+    token_out = f"{out}.tokens.csv"
+    writes = [(out, lambda path: export_scores(result.report, result.allocation, path))]
+    if args.full:
+        writes.append((token_out, lambda path: export_token_scores(result.report, path)))
+    _write_together(writes)
     print(_analyze_table(result))
     print(f"scores written to {out}")
     if args.full:
-        token_out = f"{out}.tokens.csv"
-        export_token_scores(result.report, token_out)
         print(f"token scores written to {token_out}")
 
 
@@ -235,6 +238,8 @@ def _cmd_compress(args) -> None:
 def _write_together(writes) -> None:
     """Run each write(temp) beside its path, then replace all paths or none.
 
+    Every CLI output goes through here, so no output is left half-written
+    and no file is truncated in place while another process may map it.
     On failure the temporaries and any path already replaced are removed.
     """
     temps = [f"{path}.{os.getpid()}.tmp" for path, _ in writes]
@@ -252,9 +257,8 @@ def _write_together(writes) -> None:
         raise
 
 
-def _keep_mask(selection, tokens: int) -> np.ndarray:
-    """(T, M) boolean mask of the tokens a selection keeps."""
-    kept = selection.kept_indices
+def _keep_mask(kept, tokens: int) -> np.ndarray:
+    """(T, M) boolean mask of per-frame kept indices."""
     mask = np.zeros((len(kept), tokens), dtype=bool)
     rows = np.repeat(np.arange(len(kept)), [len(idx) for idx in kept])
     mask[rows, np.concatenate(kept)] = True
@@ -289,8 +293,8 @@ def _cmd_ablate(args) -> None:
     # Every window is validated and scored in one pass up front, so each
     # cell below only selects.
     u_frame, u_videos = score_windows(tensor, windows, threads=args.threads)
-    base_selection = compress(tensor, base, threads=args.threads).selection
-    base_mask = _keep_mask(base_selection, tensor.tokens_per_frame)
+    base_kept = compress(tensor, base, threads=args.threads).selection.kept_indices
+    base_mask = _keep_mask(base_kept, tensor.tokens_per_frame)
 
     header = "score_mode,aggregation,adjustment,window,total_kept,budget_spread,jaccard_vs_default"
     rows = []
@@ -300,19 +304,18 @@ def _cmd_ablate(args) -> None:
                 for window in windows:
                     cfg = replace(base, window=window, adjustment=adj,
                                   frame_aggregation=agg, score_mode=mode)
-                    result = select_tokens(tensor, cfg, u_frame, u_videos[window])
-                    counts = result.allocation.per_frame_count
-                    mask = _keep_mask(result.selection, tensor.tokens_per_frame)
+                    kept, allocation, _ = select_indices(cfg, u_frame, u_videos[window])
+                    counts = allocation.per_frame_count
+                    mask = _keep_mask(kept, tensor.tokens_per_frame)
                     rows.append(
                         f"{mode.value},{agg.value},{adj.value},{window},"
-                        f"{result.selection.total_kept},"
+                        f"{allocation.total_kept},"
                         f"{int(counts.max() - counts.min())},"
                         f"{_jaccard(mask, base_mask):.6g}"
                     )
     text = "\n".join([header] + rows) + "\n"
     if args.output:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
+        _write_together([(args.output, lambda path: Path(path).write_bytes(text.encode()))])
         print(f"{len(rows)} configurations written to {args.output}")
     print(text, end="")
 

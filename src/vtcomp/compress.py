@@ -4,8 +4,9 @@ Builds on stage 1: tokens are scored against their own frame's mean and the
 video-level pool, the two uniqueness scores combine into one ranking, and
 each frame keeps its budgeted top-k tokens in original order.  ``compress``
 runs both stages end to end and returns every intermediate artifact; it is
-``score_windows`` followed by ``select_tokens``, so a caller that varies
-only budgets and selection over a few windows scores the input once.
+``score_windows`` followed by ``select_tokens`` (``select_indices`` plus the
+gather of the kept vectors), so a caller that varies only budgets and
+selection over a few windows scores the input once and need not gather.
 """
 
 from __future__ import annotations
@@ -119,17 +120,17 @@ def score_windows(tensor: TokenTensor, windows: list, threads: int = 1
     return u_frame, dict(zip(edges, u_videos))
 
 
-def select_tokens(tensor: TokenTensor, config: RetentionConfig,
-                  u_frame: np.ndarray, u_video: np.ndarray) -> CompressResult:
-    """Budgets and top-k selection from precomputed uniqueness grids.
+def select_indices(config: RetentionConfig, u_frame: np.ndarray, u_video: np.ndarray
+                   ) -> tuple[tuple[np.ndarray, ...], BudgetAllocation, ScoreReport]:
+    """Budgets and per-frame kept indices from precomputed uniqueness grids.
 
     Aggregates ``u_video`` per frame, softmax-allocates per-frame budgets
     around the preset ratio (uniform adjustment keeps the preset ratio
-    everywhere instead), combines both grids and keeps each frame's top-k
-    tokens.  ``u_video`` must come from ``config.window``'s pools.
+    everywhere instead), combines both grids and takes each frame's top-k
+    token indices.  ``u_video`` must come from ``config.window``'s pools.
+    Returns ``(kept, allocation, report)``; no token vector is touched.
     """
-    values = tensor.values
-    frames, tokens, _ = values.shape
+    frames, tokens = u_video.shape
     u_t = frame_uniqueness(u_video, config.frame_aggregation)
     sigma = softmax_weights(u_t, config.temperature, config.epsilon)
     if config.adjustment is Adjustment.ADAPTIVE:
@@ -144,8 +145,15 @@ def select_tokens(tensor: TokenTensor, config: RetentionConfig,
 
     counts = allocation.per_frame_count
     kept = tuple(topk_select(combined[t], int(counts[t])) for t in range(frames))
+    return kept, allocation, ScoreReport(u_video, u_frame, combined, u_t, sigma)
+
+
+def select_tokens(tensor: TokenTensor, config: RetentionConfig,
+                  u_frame: np.ndarray, u_video: np.ndarray) -> CompressResult:
+    """:func:`select_indices`, then gather each frame's kept token vectors."""
+    kept, allocation, report = select_indices(config, u_frame, u_video)
+    values = tensor.values
     selection = CompressedSelection(kept, tuple(values[t, idx, :] for t, idx in enumerate(kept)))
-    report = ScoreReport(u_video, u_frame, combined, u_t, sigma)
     return CompressResult(selection, allocation, report)
 
 

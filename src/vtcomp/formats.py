@@ -10,10 +10,19 @@
     bytes 18..    T*M*D' float32 values, row-major (frame, token, channel)
 
 A valid file is exactly 18 + 4*T*M*D' bytes; round-trips are bit-exact.
+
+The payload is copied once each way.  ``read_vtok`` maps the file read-only
+and the validated copy ``TokenTensor.from_array`` makes is the only copy;
+``write_vtok`` writes the header and then the tensor's own buffer.  Because
+a reader maps its input, a file must not be truncated in place while it is
+read, or the reader faults; the CLI writes every output beside its path and
+renames it into place.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import struct
 from pathlib import Path
 
@@ -34,41 +43,59 @@ HEADER = struct.Struct("<4sHIII")
 
 
 def write_vtok(tensor: TokenTensor, path) -> None:
-    """Write a validated tensor; the payload is the flat float32 buffer."""
+    """Write a tensor as header plus payload, with no staging copy.
+
+    The payload is the tensor's flat float32 buffer, written straight from
+    memory; only a tensor that is not C-contiguous little-endian float32 is
+    first copied into that layout.
+    """
     header = HEADER.pack(MAGIC, VERSION, tensor.frames,
                          tensor.tokens_per_frame, tensor.dim)
-    payload = np.ascontiguousarray(tensor.flat, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    payload = np.ascontiguousarray(tensor.flat, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(memoryview(payload).cast("B"))
 
 
 def read_vtok(path) -> TokenTensor:
     """Read and fully validate a .vtok file.
+
+    Only the header is read; the payload is mapped read-only and copied
+    once, into the validated tensor, so no bytes object of the file is
+    built and the tensor does not depend on the file afterwards.
 
     Raises BadMagicError / BadVersionError for a foreign or newer file,
     TruncatedPayloadError / OversizedPayloadError when the byte count does
     not match the header exactly, and the tensor validation errors (e.g.
     NonFiniteError) for a structurally sound file with bad values.
     """
-    blob = Path(path).read_bytes()
-    if len(blob) >= 4 and blob[:4] != MAGIC:
-        raise BadMagicError(f"expected magic {MAGIC!r}, got {blob[:4]!r}")
-    if len(blob) < HEADER.size:
-        raise TruncatedPayloadError(
-            f"file has {len(blob)} bytes, shorter than the {HEADER.size}-byte header"
-        )
-    _, version, frames, tokens, dim = HEADER.unpack_from(blob)
-    if version != VERSION:
-        raise BadVersionError(f"unsupported version {version}, expected {VERSION}")
-    expected = HEADER.size + 4 * frames * tokens * dim
-    if len(blob) < expected:
-        raise TruncatedPayloadError(
-            f"header declares {expected} bytes, file has only {len(blob)}"
-        )
-    if len(blob) > expected:
-        raise OversizedPayloadError(
-            f"header declares {expected} bytes, file has {len(blob)}"
-        )
-    data = np.frombuffer(blob, dtype="<f4", offset=HEADER.size)
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
+        if len(head) >= 4 and head[:4] != MAGIC:
+            raise BadMagicError(f"expected magic {MAGIC!r}, got {head[:4]!r}")
+        if len(head) < HEADER.size:
+            raise TruncatedPayloadError(
+                f"file has {size} bytes, shorter than the {HEADER.size}-byte header"
+            )
+        _, version, frames, tokens, dim = HEADER.unpack(head)
+        if version != VERSION:
+            raise BadVersionError(f"unsupported version {version}, expected {VERSION}")
+        count = frames * tokens * dim
+        expected = HEADER.size + 4 * count
+        if size < expected:
+            raise TruncatedPayloadError(
+                f"header declares {expected} bytes, file has only {size}"
+            )
+        if size > expected:
+            raise OversizedPayloadError(
+                f"header declares {expected} bytes, file has {size}"
+            )
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    # ``mapped`` is never closed explicitly: ``data`` (and, when validation
+    # fails, the traceback's frames) still view it, so close() would raise
+    # BufferError.  The last view to go unmaps it.
+    data = np.frombuffer(mapped, dtype="<f4", count=count, offset=HEADER.size)
     return TokenTensor.from_flat(frames, tokens, dim, data)
 
 

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -172,6 +173,33 @@ class TestCompress:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.vtok.indices.csv", "v.vtok"]
 
 
+class TestWholeOutputs:
+    """Every output is written beside its path and renamed into place, so a
+    failed write leaves no output file."""
+
+    @pytest.mark.parametrize("command, blocked", [
+        ("gen", "out.vtok"),
+        ("analyze", "out.csv"),
+        ("analyze --full", "out.csv.tokens.csv"),
+        ("ablate", "out.csv"),
+    ])
+    def test_failed_write_leaves_no_output(self, capsys, tmp_path, command, blocked):
+        before = []
+        if command == "gen":
+            argv = ["gen", "--frames", "4", "--tokens", "6", "--dim", "3"]
+        else:
+            before = [gen(capsys, tmp_path).name]
+            argv = command.split() + ["-i", str(tmp_path / "v.vtok")]
+        # A directory where the temporary file goes makes that write fail.
+        blocker = tmp_path / f"{blocked}.{os.getpid()}.tmp"
+        blocker.mkdir()
+        name = "out.vtok" if command == "gen" else "out.csv"
+        code, _, err = run(capsys, *argv, "-o", str(tmp_path / name))
+        assert code == 1
+        assert err.startswith("error: io:") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + [blocker.name])
+
+
 class TestAblate:
     def test_matrix_covers_all_combinations(self, capsys, tmp_path):
         src = gen(capsys, tmp_path, frames=4, tokens=6, dim=4)
@@ -312,6 +340,14 @@ class TestErrorSurface:
         code, _, err = run(capsys, "analyze", "-i", str(tmp_path / "nope.vtok"))
         assert code == 1
         assert err.startswith("error: io:")
+
+    def test_directory_input_is_io_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "compress", "-i", str(tmp_path), "-o",
+                             str(tmp_path / "c.vtok"))
+        assert code == 1
+        assert err.startswith("error: io:") and err.count("\n") == 1
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_prefix(self, capsys, tmp_path):
         path = tmp_path / "bad.vtok"

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from vtcomp import (
     BadMagicError,
     BadVersionError,
+    DimensionMismatchError,
     NonFiniteError,
     OversizedPayloadError,
     RetentionConfig,
@@ -21,6 +23,7 @@ from vtcomp import (
     read_vtok,
     write_vtok,
 )
+from vtcomp.formats import HEADER, MAGIC, VERSION
 
 
 def make_file(path, frames=2, tokens=2, dim=2, *, magic=b"VTK1", version=1,
@@ -70,6 +73,58 @@ class TestVtokRoundTrip:
         path = tmp_path / "x.vtok"
         write_vtok(TokenTensor.from_array(values), path)
         assert read_vtok(path).values.tobytes() == values.tobytes()
+
+
+class TestVtokBuffers:
+    """The reader copies out of its mapping once; the writer adds no copy."""
+
+    def test_read_is_a_frozen_copy_of_the_file(self, tmp_path, rng):
+        values = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        path = tmp_path / "a.vtok"
+        write_vtok(TokenTensor.from_array(values), path)
+        back = read_vtok(path)
+        with open(path, "r+b") as fh:
+            fh.seek(HEADER.size)
+            fh.write(np.full(values.size, 7.0, dtype="<f4").tobytes())
+        assert back.values.tobytes() == values.tobytes()
+        assert not back.values.flags.writeable
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+    @pytest.mark.parametrize("case", ["valid", "non-finite", "no-frames"])
+    def test_no_mapping_outlives_the_read(self, tmp_path, case):
+        path = tmp_path / "m.vtok"
+        if case == "no-frames":
+            make_file(path, frames=0, payload=b"")
+        else:
+            payload = np.arange(8, dtype="<f4")
+            if case == "non-finite":
+                payload[3] = np.inf
+            make_file(path, payload=payload.tobytes())
+
+        def mappings():
+            name = os.path.realpath(path)
+            with open("/proc/self/maps") as fh:
+                return [line for line in fh if line.rstrip().endswith(name)]
+
+        if case == "valid":
+            back = read_vtok(path)
+            assert mappings() == []
+            assert back.values.tobytes() == np.arange(8, dtype="<f4").tobytes()
+        else:
+            error = NonFiniteError if case == "non-finite" else DimensionMismatchError
+            with pytest.raises(error):
+                read_vtok(path)
+            assert mappings() == []
+
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_write_is_header_then_payload(self, tmp_path, rng, strided):
+        block = rng.standard_normal((3, 8, 5)).astype(np.float32)
+        values = block[:, ::2, :] if strided else block
+        assert values.flags.c_contiguous is not strided
+        path = tmp_path / "w.vtok"
+        write_vtok(TokenTensor(values), path)
+        assert path.read_bytes() == (HEADER.pack(MAGIC, VERSION, *values.shape)
+                                     + values.astype("<f4").tobytes())
 
 
 class TestVtokErrors:
