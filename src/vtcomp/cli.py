@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accum
-from .compress import CompressResult, compress, score_windows, select_indices
+from .compress import CompressResult, compress, score_windows, select_mask, topk_select
 from .errors import ConfigError, VtcompError
 from .formats import (
     export_indices,
@@ -257,14 +257,6 @@ def _write_together(writes) -> None:
         raise
 
 
-def _keep_mask(kept, tokens: int) -> np.ndarray:
-    """(T, M) boolean mask of per-frame kept indices."""
-    mask = np.zeros((len(kept), tokens), dtype=bool)
-    rows = np.repeat(np.arange(len(kept)), [len(idx) for idx in kept])
-    mask[rows, np.concatenate(kept)] = True
-    return mask
-
-
 def _jaccard(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
     inter = int(np.count_nonzero(mask_a & mask_b))
     union = int(np.count_nonzero(mask_a | mask_b))
@@ -293,8 +285,8 @@ def _cmd_ablate(args) -> None:
     # Every window is validated and scored in one pass up front, so each
     # cell below only selects.
     u_frame, u_videos = score_windows(tensor, windows, threads=args.threads)
-    base_kept = compress(tensor, base, threads=args.threads).selection.kept_indices
-    base_mask = _keep_mask(base_kept, tensor.tokens_per_frame)
+    result = compress(tensor, base, threads=args.threads)
+    base_mask = topk_select(result.report.combined_score, result.allocation.per_frame_count)
 
     header = "score_mode,aggregation,adjustment,window,total_kept,budget_spread,jaccard_vs_default"
     rows = []
@@ -304,9 +296,8 @@ def _cmd_ablate(args) -> None:
                 for window in windows:
                     cfg = replace(base, window=window, adjustment=adj,
                                   frame_aggregation=agg, score_mode=mode)
-                    kept, allocation, _ = select_indices(cfg, u_frame, u_videos[window])
+                    mask, allocation, _ = select_mask(cfg, u_frame, u_videos[window])
                     counts = allocation.per_frame_count
-                    mask = _keep_mask(kept, tensor.tokens_per_frame)
                     rows.append(
                         f"{mode.value},{agg.value},{adj.value},{window},"
                         f"{allocation.total_kept},"
@@ -321,12 +312,12 @@ def _cmd_ablate(args) -> None:
 
 
 def _cmd_bench(args) -> None:
+    config = _config_from(args)  # reject bad flags before generating
+    if args.iters < 1:
+        raise ConfigError(f"--iters must be >= 1, got {args.iters}")
     spec = SyntheticSpec(frames=args.frames, tokens_per_frame=args.tokens,
                          dim=args.dim, model="iid", seed=args.seed)
     tensor = generate(spec)
-    config = _config_from(args)
-    if args.iters < 1:
-        raise ConfigError(f"--iters must be >= 1, got {args.iters}")
     compress(tensor, config, threads=args.threads)  # warmup, untimed
     samples = []
     for _ in range(args.iters):

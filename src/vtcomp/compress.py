@@ -3,10 +3,9 @@
 Builds on stage 1: tokens are scored against their own frame's mean and the
 video-level pool, the two uniqueness scores combine into one ranking, and
 each frame keeps its budgeted top-k tokens in original order.  ``compress``
-runs both stages end to end and returns every intermediate artifact; it is
-``score_windows`` followed by ``select_tokens`` (``select_indices`` plus the
-gather of the kept vectors), so a caller that varies only budgets and
-selection over a few windows scores the input once and need not gather.
+runs both stages end to end and returns every intermediate artifact; a
+caller that varies only budgets and selection over a few windows can call
+``score_windows`` once and ``select_mask`` per configuration.
 """
 
 from __future__ import annotations
@@ -79,18 +78,29 @@ def combine_scores(u_frame, u_video, mode: ScoreMode = ScoreMode.COMBINED,
     return -uv
 
 
-def topk_select(scores, k: int) -> np.ndarray:
+def topk_select(scores, k):
     """Indices of the k largest scores, ascending, ties to the lower index.
 
     The ascending output preserves the tokens' original order for downstream
-    consumers that rely on positional structure.
+    consumers that rely on positional structure.  Given a (T, M) grid and
+    one count per row, returns the (T, M) boolean keep mask whose row t is
+    true exactly at ``topk_select(scores[t], k[t])``.
     """
-    values = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if not 0 <= k <= values.shape[0]:
-        raise KExceedsMError(f"k={k} outside 0..{values.shape[0]}")
-    picked = np.argsort(-values, kind="stable")[:k].astype(np.int64)
-    picked.sort()
-    return picked
+    grid = np.asarray(scores, dtype=np.float64)
+    row = grid.ndim != 2
+    if row:
+        grid, k = grid.reshape(1, -1), [k]
+    frames, tokens = grid.shape
+    counts = np.asarray(k)
+    if counts.shape != (frames,):
+        raise ShapeMismatchError(f"expected {frames} counts, got shape {counts.shape}")
+    bad = (counts < 0) | (counts > tokens)
+    if bad.any():
+        raise KExceedsMError(f"k={counts[bad][0]} outside 0..{tokens}")
+    order = np.argsort(-grid, axis=1, kind="stable")
+    keep = np.zeros(grid.shape, dtype=bool)
+    np.put_along_axis(keep, order, np.arange(tokens) < counts[:, None], axis=1)
+    return np.flatnonzero(keep[0]) if row else keep
 
 
 def score_windows(tensor: TokenTensor, windows: list, threads: int = 1
@@ -120,15 +130,15 @@ def score_windows(tensor: TokenTensor, windows: list, threads: int = 1
     return u_frame, dict(zip(edges, u_videos))
 
 
-def select_indices(config: RetentionConfig, u_frame: np.ndarray, u_video: np.ndarray
-                   ) -> tuple[tuple[np.ndarray, ...], BudgetAllocation, ScoreReport]:
-    """Budgets and per-frame kept indices from precomputed uniqueness grids.
+def select_mask(config: RetentionConfig, u_frame: np.ndarray, u_video: np.ndarray
+                ) -> tuple[np.ndarray, BudgetAllocation, ScoreReport]:
+    """Budgets and the (T, M) keep mask from precomputed uniqueness grids.
 
     Aggregates ``u_video`` per frame, softmax-allocates per-frame budgets
     around the preset ratio (uniform adjustment keeps the preset ratio
-    everywhere instead), combines both grids and takes each frame's top-k
-    token indices.  ``u_video`` must come from ``config.window``'s pools.
-    Returns ``(kept, allocation, report)``; no token vector is touched.
+    everywhere instead), combines both grids and ranks them in one call.
+    ``u_video`` must come from ``config.window``'s pools.  Returns
+    ``(keep, allocation, report)``; no token vector is touched.
     """
     frames, tokens = u_video.shape
     u_t = frame_uniqueness(u_video, config.frame_aggregation)
@@ -142,19 +152,8 @@ def select_indices(config: RetentionConfig, u_frame: np.ndarray, u_video: np.nda
 
     combined = combine_scores(u_frame, u_video, config.score_mode,
                               config.alpha, config.beta)
-
-    counts = allocation.per_frame_count
-    kept = tuple(topk_select(combined[t], int(counts[t])) for t in range(frames))
-    return kept, allocation, ScoreReport(u_video, u_frame, combined, u_t, sigma)
-
-
-def select_tokens(tensor: TokenTensor, config: RetentionConfig,
-                  u_frame: np.ndarray, u_video: np.ndarray) -> CompressResult:
-    """:func:`select_indices`, then gather each frame's kept token vectors."""
-    kept, allocation, report = select_indices(config, u_frame, u_video)
-    values = tensor.values
-    selection = CompressedSelection(kept, tuple(values[t, idx, :] for t, idx in enumerate(kept)))
-    return CompressResult(selection, allocation, report)
+    keep = topk_select(combined, allocation.per_frame_count)
+    return keep, allocation, ScoreReport(u_video, u_frame, combined, u_t, sigma)
 
 
 def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
@@ -170,4 +169,5 @@ def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
     if config is None:
         config = RetentionConfig()
     u_frame, u_video = score_windows(tensor, [config.window], threads)
-    return select_tokens(tensor, config, u_frame, u_video[config.window])
+    keep, allocation, report = select_mask(config, u_frame, u_video[config.window])
+    return CompressResult(CompressedSelection.from_mask(tensor.values, keep), allocation, report)

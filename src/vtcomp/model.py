@@ -194,15 +194,15 @@ class RetentionConfig:
         if self.alpha + self.beta <= 0.0:
             raise ConfigError("alpha + beta must be positive")
         object.__setattr__(self, "min_tokens_per_frame",
-                           _positive_int("min_tokens_per_frame", self.min_tokens_per_frame))
+                           int_at_least("min_tokens_per_frame", self.min_tokens_per_frame, 1))
         if self.window != "global":
-            object.__setattr__(self, "window", _positive_int("window", self.window))
+            object.__setattr__(self, "window", int_at_least("window", self.window, 1))
 
 
-def _positive_int(name: str, value) -> int:
-    """``value`` as a plain int >= 1; numpy integers are accepted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{name} must be a positive int, got {value!r}")
+def int_at_least(name: str, value, low: int) -> int:
+    """``value`` as a plain int >= ``low``; numpy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
     return int(value)
 
 
@@ -250,6 +250,19 @@ class CompressedSelection:
     def __post_init__(self):
         for arr in self.kept_indices + self.compressed:
             _freeze(arr)
+
+    @classmethod
+    def from_mask(cls, values: np.ndarray, keep: np.ndarray) -> "CompressedSelection":
+        """Select the true cells of a (T, M) keep mask from (T, M, D') values.
+
+        One boolean gather copies every kept row at once; frame t's
+        ``kept_indices`` and ``compressed`` are read-only views of that
+        frozen row buffer and of its frozen token-index buffer.
+        """
+        index = _freeze(np.flatnonzero(keep) % keep.shape[1])
+        rows = _freeze(values[keep])
+        cuts = np.cumsum(np.count_nonzero(keep, axis=1))[:-1]
+        return cls(tuple(np.split(index, cuts)), tuple(np.split(rows, cuts)))
 
     @property
     def frames(self) -> int:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .compress import compress
 from .errors import ConfigError
-from .model import Adjustment, CompressedSelection, RetentionConfig, TokenTensor
+from .model import Adjustment, CompressedSelection, RetentionConfig, TokenTensor, int_at_least
 
 POLICY_NAMES = ("vidcom2", "random", "uniform")
 
@@ -25,8 +25,8 @@ class Policy:
     """A named selection policy: the adaptive pipeline, a fixed-ratio
     variant, or seeded random dropping.
 
-    The seed only matters for the random policy; identical (name, config,
-    seed, input) always produces identical output.
+    The seed, an int >= 0, only matters for the random policy; identical
+    (name, config, seed, input) always produces identical output.
     """
 
     name: str
@@ -36,6 +36,7 @@ class Policy:
     def __post_init__(self):
         if self.name not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.name!r}, expected one of {POLICY_NAMES}")
+        object.__setattr__(self, "seed", int_at_least("seed", self.seed, 0))
 
     @property
     def descriptor(self) -> str:
@@ -68,18 +69,13 @@ def random_drop(tensor: TokenTensor, ratio: float, seed: int) -> CompressedSelec
     """
     if not (0.0 < ratio <= 1.0):
         raise ConfigError(f"ratio must be in (0, 1], got {ratio}")
-    values = tensor.values
-    frames, tokens, _ = values.shape
-    keep = math.ceil(ratio * tokens)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    kept = []
-    blocks = []
-    for t in range(frames):
-        idx = rng.permutation(tokens)[:keep].astype(np.int64)
-        idx.sort()
-        kept.append(idx)
-        blocks.append(values[t, idx, :])
-    return CompressedSelection(tuple(kept), tuple(blocks))
+    frames, tokens, _ = tensor.values.shape
+    count = math.ceil(ratio * tokens)
+    rng = np.random.Generator(np.random.PCG64(int_at_least("seed", seed, 0)))
+    keep = np.zeros((frames, tokens), dtype=bool)
+    for row in keep:
+        row[rng.permutation(tokens)[:count]] = True
+    return CompressedSelection.from_mask(tensor.values, keep)
 
 
 def uniform_topk(tensor: TokenTensor, config: RetentionConfig | None = None,

@@ -8,12 +8,13 @@ budgets should visibly diverge from uniform ones).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import TokenTensor
+from .model import TokenTensor, int_at_least
 
 MODELS = ("iid", "clustered", "outlier")
 
@@ -43,8 +44,9 @@ class SyntheticSpec:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if min(self.frames, self.tokens_per_frame, self.dim) < 1:
             raise ConfigError("frames, tokens_per_frame, and dim must all be >= 1")
-        if self.noise_sigma < 0.0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        object.__setattr__(self, "seed", int_at_least("seed", self.seed, 0))
         if self.model == "clustered" and not (1 <= self.num_clusters <= self.frames):
             raise ConfigError(
                 f"num_clusters must be in 1..{self.frames}, got {self.num_clusters}"

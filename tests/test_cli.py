@@ -414,3 +414,55 @@ class TestErrorSurface:
         code, _, err = run(capsys, "analyze", "-i", str(path), "--window", "9")
         assert code == 1
         assert err.startswith("error: window-out-of-range:")
+
+
+class TestFlagsCheckedFirst:
+    """Bad seeds, noise and bench flags are flag errors raised before any
+    input is read or generated."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        import vtcomp.cli
+
+        calls = []
+        real = vtcomp.cli.generate
+        monkeypatch.setattr(vtcomp.cli, "generate", lambda spec: calls.append(spec) or real(spec))
+        return calls
+
+    def test_gen_negative_seed(self, capsys, tmp_path, generated):
+        code, out, err = run(capsys, "gen", "--frames", "2", "--tokens", "3", "--dim", "2",
+                             "--seed", "-1", "-o", str(tmp_path / "x.vtok"))
+        assert (code, out, generated) == (2, "", [])
+        assert err.startswith("error: flag: seed") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bench_negative_seed(self, capsys, generated):
+        code, out, err = run(capsys, "bench", "--frames", "2", "--tokens", "3", "--dim", "2",
+                             "--iters", "1", "--seed", "-1")
+        assert (code, out, generated) == (2, "", [])
+        assert err.startswith("error: flag: seed") and err.count("\n") == 1
+
+    def test_compress_random_negative_seed(self, capsys, tmp_path):
+        # The input does not exist: reading it first would be an io error.
+        code, out, err = run(capsys, "compress", "-i", str(tmp_path / "missing.vtok"),
+                             "-o", str(tmp_path / "c.vtok"), "--policy", "random",
+                             "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: flag: seed") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("model", ["iid", "clustered", "outlier"])
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
+    def test_gen_non_finite_noise(self, capsys, tmp_path, generated, model, noise):
+        code, out, err = run(capsys, "gen", "--frames", "2", "--tokens", "3", "--dim", "2",
+                             "--model", model, f"--noise={noise}", "-o", str(tmp_path / "x.vtok"))
+        assert (code, out, generated) == (2, "", [])
+        assert err.startswith("error: flag: noise_sigma") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [["--ratio", "2"], ["--iters", "0"], ["--tau", "nan"]])
+    def test_bench_flags_before_generating(self, capsys, generated, flags):
+        code, out, err = run(capsys, "bench", "--frames", "2", "--tokens", "3", "--dim", "2",
+                             *flags)
+        assert (code, out, generated) == (2, "", [])
+        assert err.startswith("error: flag:") and err.count("\n") == 1

@@ -121,3 +121,16 @@ class TestPolicy:
             a = p.run(tensor)
             b = p.run(tensor)
             assert all(np.array_equal(x, y) for x, y in zip(a.kept_indices, b.kept_indices))
+
+
+@pytest.mark.parametrize("name", ["vidcom2", "random", "uniform"])
+@pytest.mark.parametrize("seed", [-1, 2.0, None])
+def test_policy_seed_must_be_a_non_negative_int(name, seed):
+    with pytest.raises(ConfigError):
+        Policy(name, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, None])
+def test_random_drop_seed_must_be_a_non_negative_int(tensor, seed):
+    with pytest.raises(ConfigError):
+        random_drop(tensor, 0.5, seed)

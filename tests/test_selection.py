@@ -6,21 +6,31 @@ PCG64 stream, one permutation per frame.  Every policy must match it byte
 for byte, and every array a selection hands out must be read-only.
 """
 
+import importlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vtcomp.cli
 from vtcomp import (
     Adjustment,
+    KExceedsMError,
     RetentionConfig,
+    ShapeMismatchError,
     TokenTensor,
     compress,
     random_drop,
     topk_select,
     uniform_topk,
+    write_vtok,
 )
+
+# The package attribute ``vtcomp.compress`` is the function, not the module.
+COMPRESS_MODULE = importlib.import_module("vtcomp.compress")
 
 CASES = range(30)
 RATIOS = (0.1, 0.25, 0.5, 1.0)
@@ -93,3 +103,73 @@ def test_every_selection_array_is_read_only(case):
         for array in selection.kept_indices + selection.compressed:
             assert not array.flags.writeable
             assert array.base is None or not array.base.flags.writeable
+
+
+# Few distinct values, signed zeros among them, so most rows tie somewhere.
+TIED = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0])
+
+
+@st.composite
+def grids(draw):
+    frames, tokens = draw(st.integers(1, 6)), draw(st.one_of(st.integers(1, 12), st.just(40)))
+    cell = st.one_of(TIED, st.floats(-1e3, 1e3, allow_nan=False))
+    rows = draw(st.lists(st.lists(cell, min_size=tokens, max_size=tokens),
+                         min_size=frames, max_size=frames))
+    count = st.one_of(st.just(0), st.just(tokens), st.integers(0, tokens))
+    counts = draw(st.lists(count, min_size=frames, max_size=frames))
+    return np.array(rows, dtype=np.float64), np.array(counts, dtype=np.int64)
+
+
+class TestGridTopk:
+    @settings(max_examples=300, deadline=None)
+    @given(grids())
+    def test_each_row_is_the_one_row_selection(self, case):
+        grid, counts = case
+        keep = topk_select(grid, counts)
+        assert keep.dtype == bool and keep.shape == grid.shape
+        for t, k in enumerate(counts):
+            picked = np.flatnonzero(keep[t]).tolist()
+            assert picked == topk_select(grid[t], int(k)).tolist()
+            # largest first, ties to the lower index; -0.0 == 0.0 is a tie
+            ranked = sorted(range(grid.shape[1]), key=lambda i: (-grid[t, i], i))
+            assert picked == sorted(ranked[:k])
+
+    def test_signed_zero_ties_go_to_the_lower_index(self):
+        keep = topk_select([[-0.0, 1.0, 0.0], [0.0, 0.0, -0.0]], [2, 1])
+        assert keep.tolist() == [[True, True, False], [True, False, False]]
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_count_outside_zero_to_m_raises(self, bad, row):
+        counts = [1, 2, 3]
+        counts[row] = bad
+        with pytest.raises(KExceedsMError):
+            topk_select(np.zeros((3, 3)), counts)
+
+    @pytest.mark.parametrize("counts", [[1, 1], [1, 1, 1, 1], [[1, 1, 1]], []])
+    def test_count_vector_of_wrong_length_raises(self, counts):
+        with pytest.raises(ShapeMismatchError):
+            topk_select(np.zeros((3, 4)), counts)
+
+
+class TestOneRankingPerSelection:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        real = COMPRESS_MODULE.topk_select
+        monkeypatch.setattr(COMPRESS_MODULE, "topk_select",
+                            lambda *args: made.append(args) or real(*args))
+        return made
+
+    def test_compress_ranks_once(self, calls):
+        compress(_tensor(4), RetentionConfig(ratio=0.5))
+        assert len(calls) == 1
+
+    def test_ablate_ranks_once_per_cell(self, calls, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(vtcomp.cli, "topk_select", COMPRESS_MODULE.topk_select)
+        path = tmp_path / "v.vtok"
+        write_vtok(_tensor(4), path)
+        assert vtcomp.cli.main(["ablate", "-i", str(path)]) == 0
+        cells = len(capsys.readouterr().out.strip().splitlines()) - 1
+        # one per cell, one in the base compress and one for the base mask
+        assert len(calls) == cells + 2

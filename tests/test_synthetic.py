@@ -79,3 +79,17 @@ class TestGenerate:
         result = compress(generate(spec), RetentionConfig(ratio=0.25))
         counts = result.allocation.per_frame_count
         assert all(counts[3] > counts[i] for i in range(8) if i != 3)
+
+
+class TestSeedAndNoise:
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"},
+        {"noise_sigma": float("nan")}, {"noise_sigma": float("inf")},
+    ])
+    def test_rejected_before_drawing(self, kwargs):
+        with pytest.raises(ConfigError):
+            SyntheticSpec(frames=2, tokens_per_frame=3, dim=2, **kwargs)
+
+    def test_numpy_seed_is_a_plain_int(self):
+        spec = SyntheticSpec(frames=2, tokens_per_frame=3, dim=2, seed=np.int64(7))
+        assert type(spec.seed) is int and spec.seed == 7
