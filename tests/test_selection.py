@@ -3,7 +3,9 @@
 The reference ranks each frame with the 1-D ``topk_select`` and gathers
 ``values[t, idx]`` one frame at a time; the random reference walks one
 PCG64 stream, one permutation per frame.  Every policy must match it byte
-for byte, and every array a selection hands out must be read-only.
+for byte, and every array a selection hands out must be read-only.  The
+grid form of ``topk_select`` must agree row by row with the 1-D form, and
+each selection must rank its grid once.
 """
 
 import importlib
