@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtcomp import (
     Aggregation,
@@ -13,6 +15,7 @@ from vtcomp import (
     compress,
     frame_uniqueness,
     global_pool,
+    random_drop,
     softmax_weights,
     video_uniqueness,
 )
@@ -263,3 +266,81 @@ class TestStageOnePath:
             ref = reference_compress(tensor_to_lists(values), 0.5, window=window)
             assert np.array_equal(got.report.video_score, np.array(ref["u_video"]))
             assert np.array_equal(got.allocation.per_frame_count, np.array(ref["k"]))
+
+
+# Scalar forms of the budget step, one frame at a time in plain Python
+# floats.  The vector code must give the same bytes.
+def scalar_softmax(u, tau, eps):
+    scores = [float(v) for v in np.asarray(u, dtype=np.float64)]
+    top = max(scores)
+    exps = [math.exp((v - top) / tau) for v in scores]
+    total = 0.0
+    for e in exps:
+        total = total + e
+    denom = total + eps
+    return np.array([e / denom for e in exps], dtype=np.float64)
+
+
+def scalar_counts(ratios, tokens, min_tokens):
+    return np.array([min(tokens, max(min_tokens, math.ceil(r * tokens))) for r in ratios],
+                    dtype=np.int64)
+
+
+def scalar_ratios(sigma, ratio):
+    frames = len(sigma)
+    return np.array([ratio * (1.0 + float(s) - 1.0 / frames) for s in sigma],
+                    dtype=np.float64)
+
+
+@st.composite
+def budget_cases(draw):
+    frames, tokens = draw(st.integers(1, 64)), draw(st.integers(1, 512))
+    ratio = draw(st.floats(0.0, 1.0, exclude_min=True))
+    min_tokens = draw(st.sampled_from([1, 2, tokens, tokens + 1, 10**30, 10**400]))
+    values = st.lists(st.floats(-2.0, 2.0), min_size=frames, max_size=frames)
+    tau, eps = draw(st.floats(1e-3, 10.0)), draw(st.floats(1e-12, 1.0))
+    u = draw(values)
+    sigma = scalar_softmax(u, tau, eps) if draw(st.booleans()) else np.array(draw(values))
+    return frames, tokens, ratio, min_tokens, (u, tau, eps), sigma
+
+
+class TestBudgetRules:
+    """The budget step against its scalar form on many shapes and inputs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(budget_cases())
+    def test_allocations_match_scalar_rules(self, case):
+        frames, tokens, ratio, min_tokens, _, sigma = case
+        alloc = allocate(sigma, ratio, tokens, min_tokens=min_tokens)
+        ratios = scalar_ratios(sigma, ratio)
+        assert alloc.per_frame_ratio.tobytes() == ratios.tobytes()
+        assert np.array_equal(alloc.per_frame_count, scalar_counts(ratios, tokens, min_tokens))
+        assert alloc.per_frame_count.dtype == np.int64
+
+        uniform = allocate_uniform(frames, ratio, tokens, min_tokens=min_tokens)
+        assert uniform.per_frame_ratio.tobytes() == np.full(frames, ratio).tobytes()
+        want = min(tokens, max(min_tokens, math.ceil(ratio * tokens)))
+        assert np.array_equal(uniform.per_frame_count, np.full(frames, want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(budget_cases())
+    def test_softmax_matches_scalar_loop(self, case):
+        _, _, _, _, (u, tau, eps), _ = case
+        assert softmax_weights(u, tau, eps).tobytes() == scalar_softmax(u, tau, eps).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(budget_cases(), st.integers(0, 2**32))
+    def test_random_drop_counts_are_uniform_budgets(self, case, seed):
+        frames, tokens, ratio, _, _, _ = case
+        tensor = TokenTensor.from_array(np.zeros((frames, tokens, 1), dtype=np.float32))
+        counts = random_drop(tensor, ratio, seed).counts
+        assert np.array_equal(counts, allocate_uniform(frames, ratio, tokens).per_frame_count)
+
+    @settings(max_examples=100, deadline=None)
+    @given(budget_cases(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    def test_non_finite_weight_is_never_a_count(self, case, bad, data):
+        frames, tokens, ratio, min_tokens, _, sigma = case
+        sigma = sigma.copy()
+        sigma[data.draw(st.integers(0, frames - 1))] = bad
+        with pytest.raises((ValueError, OverflowError)):
+            allocate(sigma, ratio, tokens, min_tokens=min_tokens)
