@@ -14,8 +14,8 @@ split:
 
 The kernels are vectorized so that each float64 accumulator still sees the
 exact same sequence of IEEE additions a scalar loop would produce: a token
-loop adds whole channel rows, a channel loop adds whole token planes, and
-``np.cumsum`` provides left-to-right running sums along a row.
+loop adds whole channel rows and a channel loop adds whole token planes.
+Every other float sum goes through ``ordered_sums``, in ascending order.
 
 ``frame_token_sums``, ``transpose_tokens`` and ``token_reductions`` also
 have a C body in ``_accum.c`` that keeps the same order bit for bit.  It is
@@ -117,22 +117,10 @@ def frame_token_sums(values: np.ndarray) -> np.ndarray:
     return sums
 
 
-def fold_rows(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Sequential sum of rows[start:stop] in ascending row order."""
-    acc = np.zeros(rows.shape[1], dtype=np.float64)
-    for i in range(start, stop):
-        np.add(acc, rows[i], out=acc)
-    return acc
-
-
-def row_sequential_sums(grid: np.ndarray) -> np.ndarray:
-    """Left-to-right sum of each row of a 2-D float64 array."""
-    return np.cumsum(grid, axis=1)[:, -1]
-
-
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, squares added left to right."""
-    return np.sqrt(np.cumsum(rows * rows, axis=1)[:, -1])
+def ordered_sums(array: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum along ``axis`` in ascending index order: the last running sum of
+    ``np.cumsum``, which adds one element at a time (``np.sum`` pairs them)."""
+    return np.cumsum(array, axis=axis).take(-1, axis=axis)
 
 
 def transpose_tokens(values: np.ndarray, out: np.ndarray | None = None,
@@ -304,5 +292,5 @@ def uniqueness_grids(values: np.ndarray, pool_rows: list[np.ndarray],
     run_chunked(threads, frames, reduce_phase)
 
     token_norms = np.sqrt(sq)
-    return [-clamped_cosines(grid, token_norms, row_norms(rows)[:, None])
+    return [-clamped_cosines(grid, token_norms, np.sqrt(ordered_sums(rows * rows))[:, None])
             for grid, rows in zip(dots, pool_rows)]

@@ -66,12 +66,9 @@ def global_pool(tensor: TokenTensor, window: int | str = "global") -> PoolAssign
 def pools_from_frame_sums(frame_sums: np.ndarray, tokens: int,
                           edges: list[tuple[int, int]]) -> PoolAssignment:
     """Build chunk pools from precomputed per-frame channel sums."""
-    frames = frame_sums.shape[0]
-    vectors = np.empty((len(edges), frame_sums.shape[1]), dtype=np.float64)
-    index = np.empty(frames, dtype=np.int64)
-    for i, (a, b) in enumerate(edges):
-        vectors[i] = accum.fold_rows(frame_sums, a, b) / ((b - a) * tokens)
-        index[a:b] = i
+    vectors = np.array([accum.ordered_sums(frame_sums[a:b], axis=0) / ((b - a) * tokens)
+                        for a, b in edges], dtype=np.float64)
+    index = np.repeat(np.arange(len(edges), dtype=np.int64), [b - a for a, b in edges])
     return PoolAssignment(vectors, index)
 
 
@@ -92,7 +89,7 @@ def frame_uniqueness(u_video: np.ndarray, aggregation: Aggregation = Aggregation
     """
     grid = np.asarray(u_video, dtype=np.float64)
     if Aggregation(aggregation) is Aggregation.MEAN:
-        return accum.row_sequential_sums(grid) / grid.shape[1]
+        return accum.ordered_sums(grid) / grid.shape[1]
     return np.max(grid, axis=1)
 
 
@@ -100,17 +97,26 @@ def softmax_weights(u, tau: float, eps: float) -> np.ndarray:
     """Shift-by-max softmax over frame scores with a stabilizing epsilon.
 
     Weights sum to S/(S+eps) where S >= 1, so they fall short of 1 by at
-    most eps/(1+eps).  Computed with scalar ``math.exp`` and a left-to-right
-    sum; the shift makes overflow impossible.
+    most eps/(1+eps).  Uses libm's ``math.exp`` (numpy's may differ in the
+    last bit) and a left-to-right sum; the shift keeps every exponent <= 0.
     """
-    scores = [float(v) for v in np.asarray(u, dtype=np.float64)]
-    top = max(scores)
-    exps = [math.exp((v - top) / tau) for v in scores]
-    total = 0.0
-    for e in exps:
-        total = total + e
-    denom = total + eps
-    return np.array([e / denom for e in exps], dtype=np.float64)
+    scores = np.asarray(u, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowed shift is -inf: weight 0
+        shifted = (scores - scores.max()) / tau
+    exps = np.array([math.exp(v) for v in shifted.tolist()], dtype=np.float64)
+    return exps / (accum.ordered_sums(exps) + eps)
+
+
+def frame_counts(ratios: np.ndarray, tokens_per_frame: int, min_tokens: int) -> np.ndarray:
+    """Integer budgets k_t = min(M, max(min_tokens, ceil(r_t * M))).
+
+    ``min_tokens`` of any size is capped at M before numpy sees it; a
+    non-finite r_t raises ``ValueError`` rather than become a count.
+    """
+    wanted = np.ceil(ratios * tokens_per_frame)
+    if not np.isfinite(wanted).all():
+        raise ValueError(f"retention ratios must be finite, got {ratios}")
+    return np.clip(wanted, min(min_tokens, tokens_per_frame), tokens_per_frame).astype(np.int64)
 
 
 def allocate(
@@ -123,25 +129,15 @@ def allocate(
     """Turn frame weights into retention ratios and integer budgets.
 
     r_t = ratio * (1 + sigma_t - 1/T) exactly as written, unclamped; the
-    integer budget is k_t = min(M, max(min_tokens, ceil(r_t * M))).
-    ``frame_uniqueness`` is carried through for reporting only.
+    integer budget follows :func:`frame_counts`.  ``frame_uniqueness`` is
+    carried through for reporting only.
     """
     weights = np.asarray(sigma, dtype=np.float64)
     frames = weights.shape[0]
-    ratios = np.array(
-        [ratio * (1.0 + float(s) - 1.0 / frames) for s in weights], dtype=np.float64
-    )
-    counts = np.array(
-        [
-            min(tokens_per_frame, max(min_tokens, math.ceil(r * tokens_per_frame)))
-            for r in ratios
-        ],
-        dtype=np.int64,
-    )
-    if frame_uniqueness is None:
-        uniq = np.zeros(frames, dtype=np.float64)
-    else:
-        uniq = np.asarray(frame_uniqueness, dtype=np.float64).copy()
+    ratios = ratio * (1.0 + weights - 1.0 / frames)
+    counts = frame_counts(ratios, tokens_per_frame, min_tokens)
+    uniq = (np.zeros(frames) if frame_uniqueness is None
+            else np.asarray(frame_uniqueness, dtype=np.float64).copy())
     return BudgetAllocation(ratios, counts, uniq, weights.copy())
 
 
@@ -159,8 +155,7 @@ def allocate_uniform(
     play no part in the budgets.
     """
     ratios = np.full(frames, float(ratio), dtype=np.float64)
-    count = min(tokens_per_frame, max(min_tokens, math.ceil(ratio * tokens_per_frame)))
-    counts = np.full(frames, count, dtype=np.int64)
+    counts = frame_counts(ratios, tokens_per_frame, min_tokens)
     uniq = (np.zeros(frames) if frame_uniqueness is None
             else np.asarray(frame_uniqueness, dtype=np.float64).copy())
     weights = (np.zeros(frames) if frame_weight is None

@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from .accum import ordered_sums
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -124,11 +125,10 @@ def cosine(a, b) -> float:
         raise LengthMismatchError(f"vector lengths differ: {av.size} vs {bv.size}")
     if av.size == 0:
         return 0.0
-    na = math.sqrt(float(np.cumsum(av * av)[-1]))
-    nb = math.sqrt(float(np.cumsum(bv * bv)[-1]))
+    na, nb = (math.sqrt(float(ordered_sums(v * v))) for v in (av, bv))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    s = float(np.cumsum(av * bv)[-1]) / (na * nb)
+    s = float(ordered_sums(av * bv)) / (na * nb)
     return min(1.0, max(-1.0, s))
 
 

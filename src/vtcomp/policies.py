@@ -8,11 +8,11 @@ exact-copy selections as the main pipeline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .budget import allocate_uniform
 from .compress import compress
 from .errors import ConfigError
 from .model import Adjustment, CompressedSelection, RetentionConfig, TokenTensor, int_at_least
@@ -60,7 +60,7 @@ class Policy:
 
 
 def random_drop(tensor: TokenTensor, ratio: float, seed: int) -> CompressedSelection:
-    """Keep ceil(ratio * M) uniformly random tokens per frame.
+    """Keep allocate_uniform's ceil(ratio * M) random tokens per frame.
 
     Uses a single PCG64 stream seeded once; frames consume it in ascending
     order, each drawing a Fisher-Yates permutation of its token indices and
@@ -70,10 +70,10 @@ def random_drop(tensor: TokenTensor, ratio: float, seed: int) -> CompressedSelec
     if not (0.0 < ratio <= 1.0):
         raise ConfigError(f"ratio must be in (0, 1], got {ratio}")
     frames, tokens, _ = tensor.values.shape
-    count = math.ceil(ratio * tokens)
+    counts = allocate_uniform(frames, ratio, tokens).per_frame_count
     rng = np.random.Generator(np.random.PCG64(int_at_least("seed", seed, 0)))
     keep = np.zeros((frames, tokens), dtype=bool)
-    for row in keep:
+    for row, count in zip(keep, counts):
         row[rng.permutation(tokens)[:count]] = True
     return CompressedSelection.from_mask(tensor.values, keep)
 
