@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,43 +74,38 @@ def _threads_value(text: str) -> int:
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--ratio", type=float, default=0.25,
-                     help="average retention ratio in (0, 1] (default 0.25)")
-    sub.add_argument("--tau", type=float, default=0.01,
-                     help="softmax temperature for frame weights (default 0.01)")
-    sub.add_argument("--epsilon", type=float, default=1e-8,
-                     help="softmax denominator stabilizer (default 1e-8)")
-    sub.add_argument("--window", type=_window_value, default="global",
-                     help="pooling window: frame count or 'global' (default)")
-    sub.add_argument("--adjustment", choices=[a.value for a in Adjustment],
-                     default="adaptive", help="budget adjustment (default adaptive)")
-    sub.add_argument("--aggregation", choices=[a.value for a in Aggregation],
-                     default="mean", help="frame score aggregation (default mean)")
-    sub.add_argument("--score-mode", choices=[m.value for m in ScoreMode],
-                     default="combined", help="token selection score (default combined)")
-    sub.add_argument("--alpha", type=float, default=1.0,
-                     help="weight on the frame-level score (default 1)")
-    sub.add_argument("--beta", type=float, default=1.0,
-                     help="weight on the video-level score (default 1)")
-    sub.add_argument("--min-tokens", type=int, default=1,
-                     help="floor on tokens kept per frame (default 1)")
+    """One flag per ``RetentionConfig`` field: dest is the field, default its default."""
+    d = RetentionConfig()
+    sub.add_argument("--ratio", dest="ratio", type=float, default=d.ratio,
+                     help="average retention ratio in (0, 1] (default %(default)s)")
+    sub.add_argument("--tau", dest="temperature", metavar="TAU", type=float,
+                     default=d.temperature,
+                     help="softmax temperature for frame weights (default %(default)s)")
+    sub.add_argument("--epsilon", dest="epsilon", type=float, default=d.epsilon,
+                     help="softmax denominator stabilizer (default %(default)s)")
+    sub.add_argument("--window", dest="window", type=_window_value, default=d.window,
+                     help="pooling window: frame count or 'global' (default %(default)s)")
+    sub.add_argument("--adjustment", dest="adjustment", choices=[a.value for a in Adjustment],
+                     default=d.adjustment.value, help="budget adjustment (default %(default)s)")
+    sub.add_argument("--aggregation", dest="frame_aggregation",
+                     choices=[a.value for a in Aggregation], default=d.frame_aggregation.value,
+                     help="frame score aggregation (default %(default)s)")
+    sub.add_argument("--score-mode", dest="score_mode", choices=[m.value for m in ScoreMode],
+                     default=d.score_mode.value,
+                     help="token selection score (default %(default)s)")
+    sub.add_argument("--alpha", dest="alpha", type=float, default=d.alpha,
+                     help="weight on the frame-level score (default %(default)s)")
+    sub.add_argument("--beta", dest="beta", type=float, default=d.beta,
+                     help="weight on the video-level score (default %(default)s)")
+    sub.add_argument("--min-tokens", dest="min_tokens_per_frame", metavar="MIN_TOKENS",
+                     type=int, default=d.min_tokens_per_frame,
+                     help="floor on tokens kept per frame (default %(default)s)")
     sub.add_argument("--threads", type=_threads_value, default=1,
                      help="worker threads, or 'auto'; output is identical for any count")
 
 
 def _config_from(args) -> RetentionConfig:
-    return RetentionConfig(
-        ratio=args.ratio,
-        temperature=args.tau,
-        epsilon=args.epsilon,
-        window=args.window,
-        adjustment=args.adjustment,
-        frame_aggregation=args.aggregation,
-        score_mode=args.score_mode,
-        alpha=args.alpha,
-        beta=args.beta,
-        min_tokens_per_frame=args.min_tokens,
-    )
+    return RetentionConfig(**{f.name: getattr(args, f.name) for f in fields(RetentionConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +259,7 @@ def _jaccard(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
 
 
 def _default_windows(frames: int, base_window) -> list:
-    windows = [base_window if base_window is not None else "global"]
+    windows = [base_window]
     for w in (frames // 2, frames // 4):
         if w >= 1 and w not in windows:
             windows.append(w)

@@ -191,8 +191,9 @@ class RetentionConfig:
         for name in ("alpha", "beta"):
             if not 0.0 <= (value := getattr(self, name)) < math.inf:
                 raise ConfigError(f"{name} must be non-negative and finite, got {value}")
-        if self.alpha + self.beta <= 0.0:
-            raise ConfigError("alpha + beta must be positive")
+        # |alpha*u_f + beta*u_v| <= fl(alpha + beta): a finite sum cannot overflow.
+        if not 0.0 < (total := self.alpha + self.beta) < math.inf:
+            raise ConfigError(f"alpha + beta must be positive and finite, got {total}")
         object.__setattr__(self, "min_tokens_per_frame",
                            int_at_least("min_tokens_per_frame", self.min_tokens_per_frame, 1))
         if self.window != "global":

@@ -7,7 +7,7 @@ import pytest
 from vtcomp import accum
 from vtcomp import (Adjustment, Aggregation, RetentionConfig, ScoreMode, TokenTensor,
                     compress, read_vtok, write_vtok)
-from vtcomp.cli import main
+from vtcomp.cli import _config_from, build_parser, main
 
 
 def run(capsys, *argv):
@@ -409,6 +409,15 @@ class TestErrorSurface:
         assert err == "error: memory: cannot allocate the payload\n"
         assert out == ""
 
+    def test_overflowing_weights_are_flag_error(self, capsys, tmp_path):
+        path = gen(capsys, tmp_path)
+        out_csv = tmp_path / "s.csv"
+        code, out, err = run(capsys, "analyze", "-i", str(path), "-o", str(out_csv),
+                             "--alpha", "1e308", "--beta", "1e308", "--full")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: flag: alpha + beta") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.vtok"]
+
     def test_window_out_of_range_at_runtime(self, capsys, tmp_path):
         path = gen(capsys, tmp_path, frames=4)
         code, _, err = run(capsys, "analyze", "-i", str(path), "--window", "9")
@@ -466,3 +475,14 @@ class TestFlagsCheckedFirst:
                              *flags)
         assert (code, out, generated) == (2, "", [])
         assert err.startswith("error: flag:") and err.count("\n") == 1
+
+
+class TestConfigFlags:
+    @pytest.mark.parametrize("argv", [["analyze", "-i", "x"], ["compress", "-i", "x", "-o", "y"],
+                                      ["ablate", "-i", "x"], ["bench"]])
+    def test_parsed_defaults_are_config_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        default = RetentionConfig()
+        assert _config_from(args) == default
+        for name, value in vars(default).items():
+            assert getattr(args, name) == value, name

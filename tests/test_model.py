@@ -180,6 +180,7 @@ class TestRetentionConfig:
             {"min_tokens_per_frame": 0},
             {"window": 0},
             {"window": "blah"},
+            {"alpha": 1e308, "beta": 1e308},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
