@@ -75,30 +75,32 @@ def _threads_value(text: str) -> int:
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     """One flag per ``RetentionConfig`` field: dest is the field, default its default."""
-    d = RetentionConfig()
-    sub.add_argument("--ratio", dest="ratio", type=float, default=d.ratio,
+    defaults = RetentionConfig()
+    sub.add_argument("--ratio", dest="ratio", type=float, default=defaults.ratio,
                      help="average retention ratio in (0, 1] (default %(default)s)")
     sub.add_argument("--tau", dest="temperature", metavar="TAU", type=float,
-                     default=d.temperature,
+                     default=defaults.temperature,
                      help="softmax temperature for frame weights (default %(default)s)")
-    sub.add_argument("--epsilon", dest="epsilon", type=float, default=d.epsilon,
+    sub.add_argument("--epsilon", dest="epsilon", type=float, default=defaults.epsilon,
                      help="softmax denominator stabilizer (default %(default)s)")
-    sub.add_argument("--window", dest="window", type=_window_value, default=d.window,
+    sub.add_argument("--window", dest="window", type=_window_value, default=defaults.window,
                      help="pooling window: frame count or 'global' (default %(default)s)")
     sub.add_argument("--adjustment", dest="adjustment", choices=[a.value for a in Adjustment],
-                     default=d.adjustment.value, help="budget adjustment (default %(default)s)")
+                     default=defaults.adjustment.value,
+                     help="budget adjustment (default %(default)s)")
     sub.add_argument("--aggregation", dest="frame_aggregation",
-                     choices=[a.value for a in Aggregation], default=d.frame_aggregation.value,
+                     choices=[a.value for a in Aggregation],
+                     default=defaults.frame_aggregation.value,
                      help="frame score aggregation (default %(default)s)")
     sub.add_argument("--score-mode", dest="score_mode", choices=[m.value for m in ScoreMode],
-                     default=d.score_mode.value,
+                     default=defaults.score_mode.value,
                      help="token selection score (default %(default)s)")
-    sub.add_argument("--alpha", dest="alpha", type=float, default=d.alpha,
+    sub.add_argument("--alpha", dest="alpha", type=float, default=defaults.alpha,
                      help="weight on the frame-level score (default %(default)s)")
-    sub.add_argument("--beta", dest="beta", type=float, default=d.beta,
+    sub.add_argument("--beta", dest="beta", type=float, default=defaults.beta,
                      help="weight on the video-level score (default %(default)s)")
     sub.add_argument("--min-tokens", dest="min_tokens_per_frame", metavar="MIN_TOKENS",
-                     type=int, default=d.min_tokens_per_frame,
+                     type=int, default=defaults.min_tokens_per_frame,
                      help="floor on tokens kept per frame (default %(default)s)")
     sub.add_argument("--threads", type=_threads_value, default=1,
                      help="worker threads, or 'auto'; output is identical for any count")

@@ -125,7 +125,8 @@ def cosine(a, b) -> float:
         raise LengthMismatchError(f"vector lengths differ: {av.size} vs {bv.size}")
     if av.size == 0:
         return 0.0
-    na, nb = (math.sqrt(float(ordered_sums(v * v))) for v in (av, bv))
+    na = math.sqrt(float(ordered_sums(av * av)))
+    nb = math.sqrt(float(ordered_sums(bv * bv)))
     if na == 0.0 or nb == 0.0:
         return 0.0
     s = float(ordered_sums(av * bv)) / (na * nb)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,13 @@ class TestSoftmaxWeights:
         sigma = softmax_weights([1e300, -1e300, 0.0], tau=0.01, eps=1e-8)
         assert np.isfinite(sigma).all()
         assert sigma[0] == pytest.approx(1.0, abs=1e-8)
+
+    def test_shift_past_the_double_range_weighs_zero(self):
+        # -1 / 5e-324 overflows to -inf: exp gives 0.0, silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = softmax_weights([0.0, -1.0], tau=5e-324, eps=1e-8)
+        assert sigma.tolist() == [1.0 / (1.0 + 1e-8), 0.0]
 
 
 class TestAllocate:
