@@ -119,45 +119,19 @@ def frame_counts(ratios: np.ndarray, tokens_per_frame: int, min_tokens: int) -> 
     return np.clip(wanted, min(min_tokens, tokens_per_frame), tokens_per_frame).astype(np.int64)
 
 
-def allocate(
-    sigma,
-    ratio: float,
-    tokens_per_frame: int,
-    min_tokens: int = 1,
-    frame_uniqueness=None,
-) -> BudgetAllocation:
+def allocate(sigma, ratio: float, tokens_per_frame: int, min_tokens: int = 1) -> BudgetAllocation:
     """Turn frame weights into retention ratios and integer budgets.
 
     r_t = ratio * (1 + sigma_t - 1/T) exactly as written, unclamped; the
-    integer budget follows :func:`frame_counts`.  ``frame_uniqueness`` is
-    carried through for reporting only.
+    integer budget follows :func:`frame_counts`.
     """
     weights = np.asarray(sigma, dtype=np.float64)
-    frames = weights.shape[0]
-    ratios = ratio * (1.0 + weights - 1.0 / frames)
-    counts = frame_counts(ratios, tokens_per_frame, min_tokens)
-    uniq = (np.zeros(frames) if frame_uniqueness is None
-            else np.asarray(frame_uniqueness, dtype=np.float64).copy())
-    return BudgetAllocation(ratios, counts, uniq, weights.copy())
+    ratios = ratio * (1.0 + weights - 1.0 / weights.shape[0])
+    return BudgetAllocation(ratios, frame_counts(ratios, tokens_per_frame, min_tokens))
 
 
-def allocate_uniform(
-    frames: int,
-    ratio: float,
-    tokens_per_frame: int,
-    min_tokens: int = 1,
-    frame_uniqueness=None,
-    frame_weight=None,
-) -> BudgetAllocation:
-    """Fixed-ratio allocation: every frame keeps ceil(ratio * M) tokens.
-
-    The uniqueness/weight arrays, when supplied, are reported unchanged but
-    play no part in the budgets.
-    """
+def allocate_uniform(frames: int, ratio: float, tokens_per_frame: int,
+                     min_tokens: int = 1) -> BudgetAllocation:
+    """Fixed-ratio allocation: every frame keeps ceil(ratio * M) tokens."""
     ratios = np.full(frames, float(ratio), dtype=np.float64)
-    counts = frame_counts(ratios, tokens_per_frame, min_tokens)
-    uniq = (np.zeros(frames) if frame_uniqueness is None
-            else np.asarray(frame_uniqueness, dtype=np.float64).copy())
-    weights = (np.zeros(frames) if frame_weight is None
-               else np.asarray(frame_weight, dtype=np.float64).copy())
-    return BudgetAllocation(ratios, counts, uniq, weights)
+    return BudgetAllocation(ratios, frame_counts(ratios, tokens_per_frame, min_tokens))

@@ -144,11 +144,9 @@ def select_mask(config: RetentionConfig, u_frame: np.ndarray, u_video: np.ndarra
     u_t = frame_uniqueness(u_video, config.frame_aggregation)
     sigma = softmax_weights(u_t, config.temperature, config.epsilon)
     if config.adjustment is Adjustment.ADAPTIVE:
-        allocation = allocate(sigma, config.ratio, tokens,
-                              config.min_tokens_per_frame, u_t)
+        allocation = allocate(sigma, config.ratio, tokens, config.min_tokens_per_frame)
     else:
-        allocation = allocate_uniform(frames, config.ratio, tokens,
-                                      config.min_tokens_per_frame, u_t, sigma)
+        allocation = allocate_uniform(frames, config.ratio, tokens, config.min_tokens_per_frame)
 
     combined = combine_scores(u_frame, u_video, config.score_mode,
                               config.alpha, config.beta)

@@ -214,19 +214,15 @@ class BudgetAllocation:
 
     ``per_frame_ratio`` keeps the raw ratio formula output (it may exceed 1
     for a dominant frame); only the integer ``per_frame_count`` is clamped to
-    [min_tokens, M].  ``frame_uniqueness`` and ``frame_weight`` carry the
-    scores the allocation was derived from, for reporting.
+    [min_tokens, M].  The scores behind the budgets are in :class:`ScoreReport`.
     """
 
     per_frame_ratio: np.ndarray
     per_frame_count: np.ndarray
-    frame_uniqueness: np.ndarray
-    frame_weight: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.per_frame_ratio, self.per_frame_count,
-                    self.frame_uniqueness, self.frame_weight):
-            _freeze(arr)
+        _freeze(self.per_frame_ratio)
+        _freeze(self.per_frame_count)
 
     @property
     def frames(self) -> int:
