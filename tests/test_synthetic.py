@@ -5,9 +5,70 @@ from vtcomp import (
     ConfigError,
     RetentionConfig,
     SyntheticSpec,
+    TokenTensor,
     compress,
     generate,
 )
+
+
+def reference_generate(spec: SyntheticSpec) -> TokenTensor:
+    """The float64 whole-block draw, cast once by ``from_array``: the bits
+    ``generate`` must keep."""
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    T, M, D = spec.frames, spec.tokens_per_frame, spec.dim
+
+    if spec.model == "iid":
+        data = rng.standard_normal((T, M, D))
+    elif spec.model == "clustered":
+        centers = rng.standard_normal((spec.num_clusters, D))
+        data = np.empty((T, M, D))
+        for t in range(T):
+            scene = t * spec.num_clusters // T
+            noise = rng.standard_normal((M, D))
+            data[t] = centers[scene] + spec.noise_sigma * noise
+    else:
+        center = rng.standard_normal(D)
+        unit = center / np.linalg.norm(center)
+        data = np.empty((T, M, D))
+        for t in range(T):
+            noise = rng.standard_normal((M, D))
+            if t == spec.outlier_index:
+                raw = rng.standard_normal((M, D))
+                raw -= np.outer(raw @ unit, unit)
+                data[t] = raw + spec.noise_sigma * noise
+            else:
+                data[t] = center + spec.noise_sigma * noise
+    return TokenTensor.from_array(data)
+
+
+def _random_specs(count: int, seed: int = 4417) -> list[SyntheticSpec]:
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(count):
+        frames = int(rng.integers(1, 9))
+        specs.append(SyntheticSpec(
+            frames, int(rng.integers(1, 7)), int(rng.integers(1, 9)),
+            model=("iid", "clustered", "outlier")[i % 3],
+            num_clusters=int(rng.integers(1, frames + 1)),
+            noise_sigma=float(rng.choice([0.0, 0.01, 0.5, 3.0])),
+            outlier_index=int(rng.integers(0, frames)),
+            seed=int(rng.integers(0, 2**63)),
+        ))
+    return specs
+
+
+REFERENCE_SPECS = [
+    SyntheticSpec(5, 4, 6, model="iid", seed=3),
+    SyntheticSpec(1, 1, 1, model="iid", seed=0),
+    SyntheticSpec(6, 3, 5, model="clustered", num_clusters=6, noise_sigma=0.2, seed=8),
+    SyntheticSpec(6, 3, 5, model="clustered", num_clusters=1, noise_sigma=0.0, seed=8),
+    SyntheticSpec(7, 2, 4, model="clustered", num_clusters=3, noise_sigma=1.5, seed=1),
+    SyntheticSpec(5, 4, 7, model="outlier", outlier_index=0, noise_sigma=0.1, seed=4),
+    SyntheticSpec(5, 4, 7, model="outlier", outlier_index=4, noise_sigma=0.1, seed=4),
+    SyntheticSpec(5, 4, 7, model="outlier", outlier_index=2, noise_sigma=0.0, seed=4),
+    SyntheticSpec(1, 3, 3, model="outlier", outlier_index=0, noise_sigma=0.0, seed=2),
+    *_random_specs(30),
+]
 
 
 class TestSpecValidation:
@@ -72,6 +133,10 @@ class TestGenerate:
             tok = t.values[2, m].astype(np.float64)
             cosine = tok @ center / (np.linalg.norm(tok) * np.linalg.norm(center))
             assert abs(cosine) < 1e-5
+
+    @pytest.mark.parametrize("spec", REFERENCE_SPECS)
+    def test_bits_match_reference_draw(self, spec):
+        assert generate(spec).values.tobytes() == reference_generate(spec).values.tobytes()
 
     def test_outlier_frame_wins_budget_after_compress(self):
         spec = SyntheticSpec(8, 12, 24, model="outlier", outlier_index=3,
