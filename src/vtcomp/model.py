@@ -68,8 +68,11 @@ class TokenTensor:
         """Build from any (T, M, D') array-like, casting to float32.
 
         The data is always copied so the tensor cannot alias caller memory.
+        A value past the float32 range becomes inf, which validation rejects.
         """
-        tensor = cls(_freeze(np.array(array, dtype=np.float32, order="C", copy=True)))
+        with np.errstate(over="ignore"):
+            values = np.array(array, dtype=np.float32, order="C", copy=True)
+        tensor = cls(_freeze(values))
         validate(tensor)
         return tensor
 
@@ -77,7 +80,8 @@ class TokenTensor:
     def from_flat(cls, frames: int, tokens_per_frame: int, dim: int, data) -> "TokenTensor":
         """Build from a row-major flat buffer: check the length exactly, then
         copy and validate through :meth:`from_array`."""
-        flat = np.asarray(data, dtype=np.float32).reshape(-1)
+        with np.errstate(over="ignore"):  # inf, rejected as in from_array
+            flat = np.asarray(data, dtype=np.float32).reshape(-1)
         expected = frames * tokens_per_frame * dim
         if flat.size != expected:
             raise DimensionMismatchError(

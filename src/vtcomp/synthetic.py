@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import TokenTensor, int_at_least
+from .model import TokenTensor, _freeze, int_at_least, validate
 
 MODELS = ("iid", "clustered", "outlier")
 
@@ -61,30 +61,30 @@ def generate(spec: SyntheticSpec) -> TokenTensor:
     """Draw the tensor for a spec; the same spec always yields the same bits.
 
     All draws come from one PCG64 stream seeded with ``spec.seed`` and are
-    consumed in a fixed order (centers first, then frames ascending).
+    consumed in a fixed order (centers first, then frames ascending).  Each
+    frame is drawn in float64 and rounded straight into the one float32
+    block the tensor owns.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     T, M, D = spec.frames, spec.tokens_per_frame, spec.dim
 
-    if spec.model == "iid":
-        data = rng.standard_normal((T, M, D))
-    elif spec.model == "clustered":
+    if spec.model == "clustered":
         centers = rng.standard_normal((spec.num_clusters, D))
-        data = np.empty((T, M, D))
-        for t in range(T):
-            scene = t * spec.num_clusters // T
-            noise = rng.standard_normal((M, D))
-            data[t] = centers[scene] + spec.noise_sigma * noise
-    else:
-        center = rng.standard_normal(D)
-        unit = center / np.linalg.norm(center)
-        data = np.empty((T, M, D))
+    elif spec.model == "outlier":
+        centers = rng.standard_normal((1, D))
+        unit = centers[0] / np.linalg.norm(centers[0])
+    data = np.empty((T, M, D), dtype=np.float32)
+    with np.errstate(over="ignore"):  # an overflow is inf, which validate reports
         for t in range(T):
             noise = rng.standard_normal((M, D))
-            if t == spec.outlier_index:
+            if spec.model == "iid":
+                data[t] = noise
+            elif spec.model == "outlier" and t == spec.outlier_index:
                 raw = rng.standard_normal((M, D))
                 raw -= np.outer(raw @ unit, unit)
                 data[t] = raw + spec.noise_sigma * noise
             else:
-                data[t] = center + spec.noise_sigma * noise
-    return TokenTensor.from_array(data)
+                data[t] = centers[t * len(centers) // T] + spec.noise_sigma * noise
+    tensor = TokenTensor(_freeze(data))
+    validate(tensor)
+    return tensor

@@ -1,9 +1,13 @@
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vtcomp
 from vtcomp import accum
 from vtcomp import (Adjustment, Aggregation, RetentionConfig, ScoreMode, TokenTensor,
                     compress, read_vtok, write_vtok)
@@ -417,6 +421,18 @@ class TestErrorSurface:
         assert (code, out) == (2, "")
         assert err.startswith("error: flag: alpha + beta") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.vtok"]
+
+    def test_overflowing_noise_is_one_error_line(self, tmp_path):
+        # A child process, so nothing filters what a user would see on stderr.
+        env = dict(os.environ, PYTHONPATH=str(Path(vtcomp.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vtcomp", "gen", "--frames", "2", "--tokens", "2",
+             "--dim", "2", "--model", "clustered", "--clusters", "2", "--noise", "1e300",
+             "-o", str(tmp_path / "v.vtok")],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: non-finite:") and proc.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_window_out_of_range_at_runtime(self, capsys, tmp_path):
         path = gen(capsys, tmp_path, frames=4)

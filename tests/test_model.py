@@ -9,9 +9,11 @@ from vtcomp import (
     LengthMismatchError,
     NonFiniteError,
     RetentionConfig,
+    SyntheticSpec,
     TokenTensor,
     compress,
     cosine,
+    generate,
     validate,
 )
 
@@ -39,6 +41,18 @@ class TestTokenTensor:
         with pytest.raises(NonFiniteError) as err:
             TokenTensor.from_flat(2, 2, 2, data)
         assert err.value.flat_index == 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("build", [
+        lambda: TokenTensor.from_array(np.full((1, 1, 1), 1e39)),
+        lambda: TokenTensor.from_flat(1, 1, 1, [1e39]),
+        lambda: generate(SyntheticSpec(2, 2, 2, model="clustered", num_clusters=2,
+                                       noise_sigma=1e308)),
+    ], ids=["from_array", "from_flat", "generate"])
+    def test_overflowing_cast_is_non_finite(self, build):
+        with pytest.raises(NonFiniteError) as err:
+            build()
+        assert err.value.flat_index == 0
 
     def test_from_array_requires_three_axes(self):
         with pytest.raises(DimensionMismatchError):
