@@ -14,12 +14,17 @@ from vtcomp import (
     allocate,
     allocate_uniform,
     compress,
+    frame_pool,
+    frame_token_uniqueness,
     frame_uniqueness,
     global_pool,
     random_drop,
     softmax_weights,
     video_uniqueness,
 )
+
+from vtcomp import accum
+from vtcomp.budget import pools_from_frame_sums, window_edges
 
 from oracle import reference_compress, tensor_to_lists
 
@@ -69,7 +74,43 @@ class TestGlobalPool:
         assert np.array_equal(pools.vectors, np.array([[0.75, 0.25]]))
 
 
+def per_chunk_pools(frame_sums, tokens, edges):
+    """The pool rule one chunk at a time: fold each chunk's frame sums in
+    ascending frame order, then divide by its token count."""
+    vectors = np.array([accum.ordered_sums(frame_sums[a:b], axis=0) / ((b - a) * tokens)
+                        for a, b in edges], dtype=np.float64)
+    index = np.repeat(np.arange(len(edges), dtype=np.int64), [b - a for a, b in edges])
+    return vectors, index
+
+
+class TestPoolsFromFrameSums:
+    def test_bytes_equal_the_per_chunk_fold(self, rng):
+        for _ in range(80):
+            frames = int(rng.integers(1, 41))
+            dim = int(rng.integers(1, 9))
+            tokens = int(rng.integers(1, 300))
+            shape = (frames, dim)
+            sums = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-10, 10, shape)
+            zeros = rng.random(shape) < 0.1
+            sums[zeros] = np.copysign(0.0, sums[zeros])  # both signed zeros
+            for window in ["global", *range(1, frames + 1)]:
+                edges = window_edges(frames, window)
+                got = pools_from_frame_sums(sums, tokens, edges)
+                vectors, index = per_chunk_pools(sums, tokens, edges)
+                assert got.vectors.tobytes() == vectors.tobytes(), (frames, window)
+                assert got.frame_pool_index.tobytes() == index.tobytes(), (frames, window)
+
+
 class TestVideoUniqueness:
+    def test_window_one_is_the_frame_level(self, rng):
+        values = rng.standard_normal((5, 7, 6)).astype(np.float32)
+        values[1, 3] = 0.0  # a zero-norm token
+        values[4] = 0.0  # a zero frame, so a zero-norm pool
+        t = TokenTensor.from_array(values)
+        got = video_uniqueness(t, global_pool(t, 1))
+        assert got.tobytes() == frame_token_uniqueness(t, frame_pool(t)).tobytes()
+
+
     def test_all_tokens_equal_mean_gives_minus_one(self):
         values = np.tile(np.array([1.0, 0.0], dtype=np.float32), (3, 4, 1))
         t = TokenTensor.from_array(values)
