@@ -65,11 +65,23 @@ def global_pool(tensor: TokenTensor, window: int | str = "global") -> PoolAssign
 
 def pools_from_frame_sums(frame_sums: np.ndarray, tokens: int,
                           edges: list[tuple[int, int]]) -> PoolAssignment:
-    """Build chunk pools from precomputed per-frame channel sums."""
-    vectors = np.array([accum.ordered_sums(frame_sums[a:b], axis=0) / ((b - a) * tokens)
-                        for a, b in edges], dtype=np.float64)
-    index = np.repeat(np.arange(len(edges), dtype=np.int64), [b - a for a, b in edges])
-    return PoolAssignment(vectors, index)
+    """Build chunk pools from precomputed per-frame channel sums.
+
+    The equal-width chunks of ``edges`` fold in one pass, frame j of every
+    chunk added in ascending j (the bits of a per-chunk ``ordered_sums``);
+    a shorter tail folds alone.  Window 1 folds nothing: the frame means.
+    """
+    frames, width = frame_sums.shape[0], edges[0][1]
+    full = frames - frames % width
+    chunks = frame_sums[:full].reshape(full // width, width, -1)
+    sums = chunks[:, 0].copy()
+    for j in range(1, width):
+        sums += chunks[:, j]
+    vectors = sums / (width * tokens)
+    if full < frames:
+        tail = accum.ordered_sums(frame_sums[full:], axis=0) / ((frames - full) * tokens)
+        vectors = np.vstack([vectors, tail])
+    return PoolAssignment(vectors, np.arange(frames, dtype=np.int64) // width)
 
 
 def video_uniqueness(tensor: TokenTensor, pools: PoolAssignment) -> np.ndarray:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accum
+from .budget import window_edges
 from .compress import CompressResult, compress, score_windows, select_mask, topk_select
 from .errors import ConfigError, VtcompError
 from .formats import (
@@ -279,11 +280,16 @@ def _cmd_ablate(args) -> None:
             windows.insert(0, base.window)
     else:
         windows = _default_windows(tensor.frames, base.window)
-    # Every window is validated and scored in one pass up front, so each
-    # cell below only selects.
-    u_frame, u_videos = score_windows(tensor, windows, threads=args.threads)
+    for window in windows:  # every window is checked before any scoring
+        window_edges(tensor.frames, window)
+    # The base run scores the frame level (window 1) and the base window; one
+    # more pass scores the rest, so no grid is scored twice.
     result = compress(tensor, base, threads=args.threads)
     base_mask = topk_select(result.report.combined_score, result.allocation.per_frame_count)
+    grids = {1: result.report.frame_score, base.window: result.report.video_score}
+    missing = [window for window in windows if window not in grids]
+    if missing:
+        grids.update(score_windows(tensor, missing, threads=args.threads))
 
     header = "score_mode,aggregation,adjustment,window,total_kept,budget_spread,jaccard_vs_default"
     rows = []
@@ -293,7 +299,7 @@ def _cmd_ablate(args) -> None:
                 for window in windows:
                     cfg = replace(base, window=window, adjustment=adj,
                                   frame_aggregation=agg, score_mode=mode)
-                    mask, allocation, _ = select_mask(cfg, u_frame, u_videos[window])
+                    mask, allocation, _ = select_mask(cfg, grids)
                     counts = allocation.per_frame_count
                     rows.append(
                         f"{mode.value},{agg.value},{adj.value},{window},"

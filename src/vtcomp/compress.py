@@ -103,16 +103,14 @@ def topk_select(scores, k):
     return np.flatnonzero(keep[0]) if row else keep
 
 
-def score_windows(tensor: TokenTensor, windows: list, threads: int = 1
-                  ) -> tuple[np.ndarray, dict]:
-    """Frame-level uniqueness plus one video-level grid per pooling window.
+def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
+    """One uniqueness grid per distinct pooling window: ``{window: grid}``.
 
-    The scoring pass of :func:`compress`, shared by every window: frame
-    sums, one pool matrix per distinct window, then one ``uniqueness_grids``
-    call that reduces every token against all pools and the frame means at
-    once.  Each grid is bit-identical to the one a single-window call
-    gives.  Returns ``(u_frame, {window: u_video})``; every window is
-    validated before any work starts.
+    The scoring pass of :func:`compress`: frame sums, one pool matrix per
+    window, then one ``uniqueness_grids`` call that reduces every token
+    against all of them at once.  Window 1 pools each frame alone, so its
+    grid is the frame level.  Each grid is bit-identical to the one a
+    single-window call gives; every window is validated before any work.
     """
     values = tensor.values
     frames, tokens, dim = values.shape
@@ -126,20 +124,20 @@ def score_windows(tensor: TokenTensor, windows: list, threads: int = 1
     accum.run_chunked(threads, frames, sum_phase)
 
     pools = [pools_from_frame_sums(frame_sums, tokens, e).per_frame() for e in edges.values()]
-    *u_videos, u_frame = accum.uniqueness_grids(values, pools + [frame_sums / tokens], threads)
-    return u_frame, dict(zip(edges, u_videos))
+    return dict(zip(edges, accum.uniqueness_grids(values, pools, threads)))
 
 
-def select_mask(config: RetentionConfig, u_frame: np.ndarray, u_video: np.ndarray
+def select_mask(config: RetentionConfig, grids: dict
                 ) -> tuple[np.ndarray, BudgetAllocation, ScoreReport]:
     """Budgets and the (T, M) keep mask from precomputed uniqueness grids.
 
-    Aggregates ``u_video`` per frame, softmax-allocates per-frame budgets
-    around the preset ratio (uniform adjustment keeps the preset ratio
-    everywhere instead), combines both grids and ranks them in one call.
-    ``u_video`` must come from ``config.window``'s pools.  Returns
-    ``(keep, allocation, report)``; no token vector is touched.
+    Reads :func:`score_windows` grids: ``grids[1]`` is the frame level and
+    ``grids[config.window]`` the video level.  Aggregates the video level
+    per frame, softmax-allocates per-frame budgets around the preset ratio
+    (uniform adjustment keeps it everywhere instead), combines both grids
+    and ranks them in one call.  Returns ``(keep, allocation, report)``.
     """
+    u_frame, u_video = grids[1], grids[config.window]
     frames, tokens = u_video.shape
     u_t = frame_uniqueness(u_video, config.frame_aggregation)
     sigma = softmax_weights(u_t, config.temperature, config.epsilon)
@@ -160,12 +158,12 @@ def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
 
     Stage 1 pools the video (optionally in frame windows), scores video-level
     token uniqueness, aggregates it per frame, and softmax-allocates
-    per-frame budgets.  Stage 2 adds frame-level uniqueness, combines the
-    scores, and extracts each frame's top-k tokens.  Returns the selection
-    plus the budget and score intermediates.
+    per-frame budgets.  Stage 2 adds frame-level uniqueness (the window-1
+    pool), combines the scores, and extracts each frame's top-k tokens.
+    Returns the selection plus the budget and score intermediates.
     """
     if config is None:
         config = RetentionConfig()
-    u_frame, u_video = score_windows(tensor, [config.window], threads)
-    keep, allocation, report = select_mask(config, u_frame, u_video[config.window])
+    grids = score_windows(tensor, [1, config.window], threads)
+    keep, allocation, report = select_mask(config, grids)
     return CompressResult(CompressedSelection.from_mask(tensor.values, keep), allocation, report)
