@@ -38,6 +38,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import ShapeMismatchError
+
 # No -march=native and no fast-math: the library must give the same bits as
 # numpy on any host.  -ffp-contract=off forbids fusing a multiply and an add
 # into one FMA, which rounds once instead of twice.
@@ -196,33 +198,11 @@ def token_reductions(
 
     sq = np.zeros((span, tokens), dtype=np.float64)
     dots = [np.zeros((span, tokens), dtype=np.float64) for _ in pool_rows]
-    mul, add, mov = np.multiply, np.add, np.copyto
-
-    # Channels are processed four planes per ufunc call to amortize call
-    # overhead; each accumulator still receives its addends one channel at
-    # a time in ascending order, so the result is bit-identical to a plain
-    # per-channel loop.
-    width = 4
-    chan = np.empty((width, span, tokens), dtype=np.float64)
-    prod = np.empty((width, span, tokens), dtype=np.float64)
-    main = dim - dim % width
-    for c0 in range(0, main, width):
-        mov(chan, planes[c0 : c0 + width])
-        mul(chan, chan, out=prod)
-        for j in range(width):
-            add(sq, prod[j], out=sq)
-        for cols64, acc in zip(pool_cols, dots):
-            mul(chan, cols64[c0 : c0 + width], out=prod)
-            for j in range(width):
-                add(acc, prod[j], out=acc)
-    one_chan, one_prod = chan[0], prod[0]
-    for c in range(main, dim):
-        mov(one_chan, planes[c])
-        mul(one_chan, one_chan, out=one_prod)
-        add(sq, one_prod, out=sq)
-        for cols64, acc in zip(pool_cols, dots):
-            mul(one_chan, cols64[c], out=one_prod)
-            add(acc, one_prod, out=acc)
+    for c in range(dim):
+        chan = planes[c].astype(np.float64)
+        sq += chan * chan
+        for cols, acc in zip(pool_cols, dots):
+            acc += chan * cols[c]
     return sq, dots
 
 
@@ -266,9 +246,13 @@ def uniqueness_grids(values: np.ndarray, pool_rows: list[np.ndarray],
     in ``pool_rows`` at once, then each dot grid becomes one (T, M) grid of
     uniqueness scores in [-1, 1].  Each worker reuses one channel-major
     buffer of about ``_BLOCK_BYTES`` for its frame chunk; the numpy bodies
-    pay per call, so they take the whole chunk as one block.
+    pay per call, so they take the whole chunk as one block.  A pool matrix
+    of any other shape raises ``ShapeMismatchError``.
     """
     frames, tokens, dim = values.shape
+    for rows in pool_rows:
+        if rows.shape != (frames, dim):
+            raise ShapeMismatchError(f"expected {(frames, dim)} pools, got {rows.shape}")
     sq = np.empty((frames, tokens), dtype=np.float64)
     dots = [np.empty((frames, tokens), dtype=np.float64) for _ in pool_rows]
     frame_size = tokens * dim

@@ -280,10 +280,9 @@ def _cmd_ablate(args) -> None:
             windows.insert(0, base.window)
     else:
         windows = _default_windows(tensor.frames, base.window)
-    for window in windows:  # every window is checked before any scoring
+    for window in windows:  # checked before any scoring
         window_edges(tensor.frames, window)
-    # The base run scores the frame level (window 1) and the base window; one
-    # more pass scores the rest, so no grid is scored twice.
+    # The base run scores windows 1 and base.window, one more pass the rest.
     result = compress(tensor, base, threads=args.threads)
     base_mask = topk_select(result.report.combined_score, result.allocation.per_frame_count)
     grids = {1: result.report.frame_score, base.window: result.report.video_score}

@@ -48,10 +48,7 @@ def frame_pool(tensor: TokenTensor) -> np.ndarray:
 
 def frame_token_uniqueness(tensor: TokenTensor, pools: np.ndarray) -> np.ndarray:
     """Per-token frame-level uniqueness: minus cosine to the frame pool."""
-    rows = np.asarray(pools, dtype=np.float64)
-    if rows.shape != (tensor.frames, tensor.dim):
-        raise ShapeMismatchError(f"expected {(tensor.frames, tensor.dim)} pools, got {rows.shape}")
-    return accum.uniqueness_grids(tensor.values, [rows])[0]
+    return accum.uniqueness_grids(tensor.values, [np.asarray(pools, dtype=np.float64)])[0]
 
 
 def combine_scores(u_frame, u_video, mode: ScoreMode = ScoreMode.COMBINED,

@@ -40,7 +40,7 @@ class LengthMismatchError(VtcompError):
 
 
 class ShapeMismatchError(VtcompError):
-    """Two score grids that must share a shape do not."""
+    """Arrays whose shapes must agree (score grids, pools, counts) do not."""
 
     kind = "shape-mismatch"
 

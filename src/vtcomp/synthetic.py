@@ -9,6 +9,7 @@ budgets should visibly diverge from uniform ones).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class SyntheticSpec:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if min(self.frames, self.tokens_per_frame, self.dim) < 1:
             raise ConfigError("frames, tokens_per_frame, and dim must all be >= 1")
+        if self.frames * self.tokens_per_frame * self.dim * 4 > sys.maxsize:
+            raise ConfigError(f"frames x tokens_per_frame x dim float32 exceeds {sys.maxsize} B")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "seed", int_at_least("seed", self.seed, 0))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vtcomp import (
     Aggregation,
     RetentionConfig,
+    ShapeMismatchError,
     TokenTensor,
     WindowOutOfRangeError,
     allocate,
@@ -140,6 +141,12 @@ class TestVideoUniqueness:
         t = TokenTensor.from_array(values)
         u = video_uniqueness(t, global_pool(t))
         assert u[0, 0] == 0.0
+
+    def test_shape_mismatch(self):
+        for shape in [(3, 4, 2), (2, 4, 3)]:  # T differs, then D'
+            other = TokenTensor.from_array(np.ones(shape, dtype=np.float32))
+            with pytest.raises(ShapeMismatchError):
+                video_uniqueness(CASE, global_pool(other, 1))
 
 
 class TestFrameUniqueness:

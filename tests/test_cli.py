@@ -261,6 +261,7 @@ class TestAblate:
         ((9, 1, 5), None, ["global", 4, 2]),  # one token per frame
         ((12, 10, 8), "global,8,8,3", ["global", 8, 8, 3]),  # a duplicate window
         ((10, 6, 12), "10,5", ["global", 10, 5]),  # window == frames
+        ((6, 5, 7), "1,3", ["global", 1, 3]),  # the frame level as a window
     ])
     def test_matrix_equals_one_compress_per_cell(self, capsys, tmp_path, shape,
                                                  flag, windows, threads):
@@ -296,6 +297,35 @@ class TestAblate:
                                     f"{result.selection.total_kept},"
                                     f"{int(counts.max() - counts.min())},{jaccard:.6g}")
         assert out_csv.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    @pytest.fixture
+    def pools_scored(self, monkeypatch):
+        """Sizes of the pool-matrix lists handed to ``uniqueness_grids``."""
+        sizes = []
+        real = accum.uniqueness_grids
+        monkeypatch.setattr(accum, "uniqueness_grids",
+                            lambda values, rows, *rest: sizes.append(len(rows))
+                            or real(values, rows, *rest))
+        return sizes
+
+    @pytest.mark.parametrize("frames, flag, pools", [
+        (4, "global,2", 3),  # frame level, global, 2
+        (4, "1,global", 2),  # the base run scores both
+        (8, None, 4),  # default windows global, 4 and 2, plus the frame level
+    ])
+    def test_each_pool_scored_once(self, capsys, tmp_path, pools_scored, frames, flag,
+                                   pools):
+        src = gen(capsys, tmp_path, frames=frames, tokens=6, dim=4)
+        argv = ["ablate", "-i", str(src)] + ([] if flag is None else ["--windows", flag])
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert sum(pools_scored) == pools
+
+    def test_out_of_range_window_scores_nothing(self, capsys, tmp_path, pools_scored):
+        src = gen(capsys, tmp_path, frames=4, tokens=6, dim=4)
+        code, out, err = run(capsys, "ablate", "-i", str(src), "--windows", "global,2,9")
+        assert (code, out, pools_scored) == (1, "", [])
+        assert err.startswith("error: window-out-of-range:") and err.count("\n") == 1
 
     def test_uniform_spread_zero_adaptive_positive_on_outlier(self, capsys, tmp_path):
         src = gen(capsys, tmp_path, frames=8, tokens=12, dim=16,
@@ -483,6 +513,27 @@ class TestFlagsCheckedFirst:
                              "--model", model, f"--noise={noise}", "-o", str(tmp_path / "x.vtok"))
         assert (code, out, generated) == (2, "", [])
         assert err.startswith("error: flag: noise_sigma") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    # Shapes past sys.maxsize bytes: numpy refuses them before allocating.
+    UNADDRESSABLE = [["100000000000000000000", "1", "1"], ["3", str(2**62), "1"]]
+
+    @pytest.mark.parametrize("shape", UNADDRESSABLE)
+    def test_gen_unaddressable_shape(self, capsys, tmp_path, generated, shape):
+        frames, tokens, dim = shape
+        code, out, err = run(capsys, "gen", "--frames", frames, "--tokens", tokens,
+                             "--dim", dim, "-o", str(tmp_path / "x.vtok"))
+        assert (code, out, generated) == (2, "", [])
+        assert err.startswith("error: flag:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("shape", UNADDRESSABLE)
+    def test_bench_unaddressable_shape(self, capsys, tmp_path, generated, shape):
+        frames, tokens, dim = shape
+        code, out, err = run(capsys, "bench", "--frames", frames, "--tokens", tokens,
+                             "--dim", dim, "--iters", "1")
+        assert (code, out, generated) == (2, "", [])
+        assert err.startswith("error: flag:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags", [["--ratio", "2"], ["--iters", "0"], ["--tau", "nan"]])

@@ -350,9 +350,11 @@ class TestCompress:
         assert (result.allocation.per_frame_count >= 2).all()
         assert all(len(i) >= 2 for i in result.selection.kept_indices)
 
-    def test_oracle_equivalence_at_channel_widths(self, rng):
-        # Widths 5..70 reach the four-channel blocks of the reduction kernel
-        # and every tail length; the stage functions must match as well.
+    def test_oracle_equivalence_at_channel_widths(self, rng, monkeypatch):
+        # Widths 5..70 reach the four-channel blocks of the compiled reduction
+        # kernel and every tail length.  The plain numpy body runs each case
+        # too, and the stage functions must match as well.
+        kernels = (accum._lib, None)
         modes = list(ScoreMode)
         for _ in range(200):
             frames = int(rng.integers(1, 7))
@@ -370,7 +372,7 @@ class TestCompress:
                 alpha=float(rng.uniform(0.1, 2.0)),
                 beta=float(rng.uniform(0.1, 2.0)),
             )
-            got = compress(t, cfg, threads=int(rng.integers(1, 3)))
+            threads = int(rng.integers(1, 3))
             ref = reference_compress(
                 tensor_to_lists(values),
                 cfg.ratio,
@@ -381,18 +383,21 @@ class TestCompress:
                 beta=cfg.beta,
                 adjustment=cfg.adjustment.value,
             )
-            assert np.array_equal(got.report.video_score, np.array(ref["u_video"]))
-            assert np.array_equal(got.report.frame_score, np.array(ref["u_frame"]))
-            assert np.array_equal(got.report.combined_score, np.array(ref["combined"]))
-            assert np.array_equal(got.report.frame_uniqueness, np.array(ref["u_t"]))
-            assert np.array_equal(got.report.frame_weight, np.array(ref["sigma"]))
-            assert np.array_equal(got.allocation.per_frame_ratio, np.array(ref["r"]))
-            assert np.array_equal(got.allocation.per_frame_count, np.array(ref["k"]))
-            assert [i.tolist() for i in got.selection.kept_indices] == ref["kept"]
-            assert np.array_equal(video_uniqueness(t, global_pool(t, window)),
-                                  np.array(ref["u_video"]))
-            assert np.array_equal(frame_token_uniqueness(t, frame_pool(t)),
-                                  np.array(ref["u_frame"]))
+            for lib in kernels:
+                monkeypatch.setattr(accum, "_lib", lib)
+                got = compress(t, cfg, threads=threads)
+                assert np.array_equal(got.report.video_score, np.array(ref["u_video"]))
+                assert np.array_equal(got.report.frame_score, np.array(ref["u_frame"]))
+                assert np.array_equal(got.report.combined_score, np.array(ref["combined"]))
+                assert np.array_equal(got.report.frame_uniqueness, np.array(ref["u_t"]))
+                assert np.array_equal(got.report.frame_weight, np.array(ref["sigma"]))
+                assert np.array_equal(got.allocation.per_frame_ratio, np.array(ref["r"]))
+                assert np.array_equal(got.allocation.per_frame_count, np.array(ref["k"]))
+                assert [i.tolist() for i in got.selection.kept_indices] == ref["kept"]
+                assert np.array_equal(video_uniqueness(t, global_pool(t, window)),
+                                      np.array(ref["u_video"]))
+                assert np.array_equal(frame_token_uniqueness(t, frame_pool(t)),
+                                      np.array(ref["u_frame"]))
 
 
 def _numpy_body(fn, *args, **kwargs):
