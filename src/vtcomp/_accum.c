@@ -10,10 +10,39 @@
  *
  * Arrays are C-contiguous; the Python side checks shapes, dtypes and
  * bounds before passing pointers.
+ *
+ * On x86-64 glibc builds with GCC or Clang, each entry point also has an AVX2
+ * body that runs when the CPU has AVX2 (see kernel_isa); the library itself
+ * is built for baseline x86-64, so it loads on any x86-64 host.  The AVX2
+ * clones of frame_token_sums and token_reductions compile this same source:
+ * AVX2 does not include FMA, so they only add more independent accumulators
+ * per instruction.  transpose_tokens has its own 8x8 tile that moves 32-bit
+ * words.  Every other build, and one with -DVTCOMP_BASELINE_ONLY, compiles
+ * the baseline bodies alone.
  */
 
 #include <stddef.h>
 #include <stdint.h>
+
+/* target_clones needs the loader to resolve ifunc symbols, which glibc
+ * does and musl does not. */
+#if !defined(VTCOMP_BASELINE_ONLY) && defined(__x86_64__) && defined(__ELF__) \
+    && defined(__GLIBC__) && (defined(__GNUC__) || defined(__clang__))
+#define VTCOMP_AVX2 1
+#include <immintrin.h>
+/* One body per ISA, picked once by an ifunc resolver when the symbol is
+ * bound. */
+#define DISPATCHED __attribute__((target_clones("avx2", "default")))
+#else
+#define DISPATCHED
+#endif
+
+#if defined(__GNUC__) || defined(__clang__)
+/* Inlined into each clone, so every clone widens its helpers' loops. */
+#define HELPER static inline __attribute__((always_inline))
+#else
+#define HELPER static
+#endif
 
 /* Columns of one reduction tile: its float64 accumulators (the squared
  * norms plus one dot row per pool matrix) stay in L1. */
@@ -21,10 +50,11 @@
 /* Tokens and channels per transpose block. */
 #define BLOCK 16
 
-static ptrdiff_t min_pd(ptrdiff_t a, ptrdiff_t b) { return a < b ? a : b; }
+HELPER ptrdiff_t min_pd(ptrdiff_t a, ptrdiff_t b) { return a < b ? a : b; }
 
 /* (frames, tokens, dim) float32 -> (frames, dim) float64, tokens added in
  * ascending order within each frame. */
+DISPATCHED
 void frame_token_sums(const float *restrict values, ptrdiff_t frames,
                       ptrdiff_t tokens, ptrdiff_t dim, double *restrict sums)
 {
@@ -47,6 +77,82 @@ void frame_token_sums(const float *restrict values, ptrdiff_t frames,
     }
 }
 
+#ifdef VTCOMP_AVX2
+/* True when the CPU runs AVX2 code; the same test the ifunc resolvers of
+ * the DISPATCHED functions make. */
+static int has_avx2(void) { return __builtin_cpu_supports("avx2"); }
+
+/* One 8x8 tile in eight 256-bit registers: 8 tokens of 8 channels at s
+ * (row stride dim) to 8 channels of 8 tokens at d (row stride cols). */
+__attribute__((target("avx2"), always_inline))
+static inline void transpose_tile_avx2(const uint32_t *restrict s, ptrdiff_t dim,
+                                       uint32_t *restrict d, ptrdiff_t cols)
+{
+    __m256i r0 = _mm256_loadu_si256((const __m256i *)(s + 0 * dim));
+    __m256i r1 = _mm256_loadu_si256((const __m256i *)(s + 1 * dim));
+    __m256i r2 = _mm256_loadu_si256((const __m256i *)(s + 2 * dim));
+    __m256i r3 = _mm256_loadu_si256((const __m256i *)(s + 3 * dim));
+    __m256i r4 = _mm256_loadu_si256((const __m256i *)(s + 4 * dim));
+    __m256i r5 = _mm256_loadu_si256((const __m256i *)(s + 5 * dim));
+    __m256i r6 = _mm256_loadu_si256((const __m256i *)(s + 6 * dim));
+    __m256i r7 = _mm256_loadu_si256((const __m256i *)(s + 7 * dim));
+    /* Interleave pairs of rows, then pairs of pairs: b_k then holds channels
+     * k and k + 4 of tokens 0-3, b_(k+4) the same channels of tokens 4-7. */
+    __m256i a0 = _mm256_unpacklo_epi32(r0, r1), a1 = _mm256_unpackhi_epi32(r0, r1);
+    __m256i a2 = _mm256_unpacklo_epi32(r2, r3), a3 = _mm256_unpackhi_epi32(r2, r3);
+    __m256i a4 = _mm256_unpacklo_epi32(r4, r5), a5 = _mm256_unpackhi_epi32(r4, r5);
+    __m256i a6 = _mm256_unpacklo_epi32(r6, r7), a7 = _mm256_unpackhi_epi32(r6, r7);
+    __m256i b0 = _mm256_unpacklo_epi64(a0, a2), b1 = _mm256_unpackhi_epi64(a0, a2);
+    __m256i b2 = _mm256_unpacklo_epi64(a1, a3), b3 = _mm256_unpackhi_epi64(a1, a3);
+    __m256i b4 = _mm256_unpacklo_epi64(a4, a6), b5 = _mm256_unpackhi_epi64(a4, a6);
+    __m256i b6 = _mm256_unpacklo_epi64(a5, a7), b7 = _mm256_unpackhi_epi64(a5, a7);
+    _mm256_storeu_si256((__m256i *)(d + 0 * cols), _mm256_permute2x128_si256(b0, b4, 0x20));
+    _mm256_storeu_si256((__m256i *)(d + 1 * cols), _mm256_permute2x128_si256(b1, b5, 0x20));
+    _mm256_storeu_si256((__m256i *)(d + 2 * cols), _mm256_permute2x128_si256(b2, b6, 0x20));
+    _mm256_storeu_si256((__m256i *)(d + 3 * cols), _mm256_permute2x128_si256(b3, b7, 0x20));
+    _mm256_storeu_si256((__m256i *)(d + 4 * cols), _mm256_permute2x128_si256(b0, b4, 0x31));
+    _mm256_storeu_si256((__m256i *)(d + 5 * cols), _mm256_permute2x128_si256(b1, b5, 0x31));
+    _mm256_storeu_si256((__m256i *)(d + 6 * cols), _mm256_permute2x128_si256(b2, b6, 0x31));
+    _mm256_storeu_si256((__m256i *)(d + 7 * cols), _mm256_permute2x128_si256(b3, b7, 0x31));
+}
+
+/* transpose_tokens in 8x8 tiles, eight tokens at a time across every
+ * channel, so the source is read as eight sequential streams.  The channel
+ * and token tails are copied word by word. */
+__attribute__((target("avx2")))
+static void transpose_tokens_avx2(const uint32_t *restrict values, ptrdiff_t tokens,
+                                  ptrdiff_t dim, ptrdiff_t start, ptrdiff_t stop,
+                                  uint32_t *restrict out)
+{
+    ptrdiff_t cols = (stop - start) * tokens;
+    ptrdiff_t full_m = tokens - tokens % 8, full_c = dim - dim % 8;
+    for (ptrdiff_t t = start; t < stop; t++) {
+        const uint32_t *src = values + t * tokens * dim;
+        uint32_t *dst = out + (t - start) * tokens;
+        for (ptrdiff_t m0 = 0; m0 < full_m; m0 += 8) {
+            for (ptrdiff_t c0 = 0; c0 < full_c; c0 += 8)
+                transpose_tile_avx2(src + m0 * dim + c0, dim, dst + c0 * cols + m0, cols);
+            for (ptrdiff_t c = full_c; c < dim; c++)
+                for (ptrdiff_t m = m0; m < m0 + 8; m++)
+                    dst[c * cols + m] = src[m * dim + c];
+        }
+        for (ptrdiff_t m = full_m; m < tokens; m++)
+            for (ptrdiff_t c = 0; c < dim; c++)
+                dst[c * cols + m] = src[m * dim + c];
+    }
+}
+#endif
+
+/* Name of the bodies this host runs: "avx2" or "baseline". */
+const char *kernel_isa(void)
+{
+#ifdef VTCOMP_AVX2
+    if (has_avx2())
+        return "avx2";
+#endif
+    return "baseline";
+}
+
 /* Frames [start, stop) of (frames, tokens, dim) into channel-major
  * (dim, (stop - start) * tokens), in BLOCK x BLOCK tiles.  Full tiles get
  * constant loop bounds, which lets the compiler unroll and vectorize them.
@@ -55,6 +161,12 @@ void transpose_tokens(const uint32_t *restrict values, ptrdiff_t tokens,
                       ptrdiff_t dim, ptrdiff_t start, ptrdiff_t stop,
                       uint32_t *restrict out)
 {
+#ifdef VTCOMP_AVX2
+    if (has_avx2()) {
+        transpose_tokens_avx2(values, tokens, dim, start, stop, out);
+        return;
+    }
+#endif
     ptrdiff_t cols = (stop - start) * tokens;
     for (ptrdiff_t t = start; t < stop; t++) {
         const uint32_t *src = values + t * tokens * dim;
@@ -78,7 +190,7 @@ void transpose_tokens(const uint32_t *restrict values, ptrdiff_t tokens,
 }
 
 /* One channel's contribution to one run of columns: acc[j] += x[j] * w[0]. */
-static void add_one(double *restrict acc, const float *restrict x, const double *w,
+HELPER void add_one(double *restrict acc, const float *restrict x, const double *w,
                     ptrdiff_t n)
 {
     for (ptrdiff_t j = 0; j < n; j++)
@@ -87,7 +199,7 @@ static void add_one(double *restrict acc, const float *restrict x, const double 
 
 /* Four channels' contributions, added in channel order: x holds channel c
  * at x[j], channel c + 1 at x[cols + j] and so on; w[0..3] weigh them. */
-static void add_four(double *restrict acc, const float *restrict x, ptrdiff_t cols,
+HELPER void add_four(double *restrict acc, const float *restrict x, ptrdiff_t cols,
                      const double *w, ptrdiff_t n)
 {
     const float *x1 = x + cols, *x2 = x1 + cols, *x3 = x2 + cols;
@@ -98,7 +210,7 @@ static void add_four(double *restrict acc, const float *restrict x, ptrdiff_t co
 }
 
 /* square_four and add_four for two pools in one pass over the four rows. */
-static void square_add2_four(double *restrict sq, double *restrict d0, double *restrict d1,
+HELPER void square_add2_four(double *restrict sq, double *restrict d0, double *restrict d1,
                              const float *restrict x, ptrdiff_t cols, const double *w,
                              const double *u, ptrdiff_t n)
 {
@@ -113,7 +225,7 @@ static void square_add2_four(double *restrict sq, double *restrict d0, double *r
     }
 }
 
-static void square_one(double *restrict acc, const float *restrict x, ptrdiff_t n)
+HELPER void square_one(double *restrict acc, const float *restrict x, ptrdiff_t n)
 {
     for (ptrdiff_t j = 0; j < n; j++) {
         double a = x[j];
@@ -121,7 +233,7 @@ static void square_one(double *restrict acc, const float *restrict x, ptrdiff_t 
     }
 }
 
-static void square_four(double *restrict acc, const float *restrict x, ptrdiff_t cols,
+HELPER void square_four(double *restrict acc, const float *restrict x, ptrdiff_t cols,
                         ptrdiff_t n)
 {
     const float *x1 = x + cols, *x2 = x1 + cols, *x3 = x2 + cols;
@@ -140,6 +252,7 @@ static void square_four(double *restrict acc, const float *restrict x, ptrdiff_t
  * Columns go in runs of at most TILE tokens of one frame, so a run shares
  * one pool row and its accumulators stay in L1 while every channel of the
  * run is read once. */
+DISPATCHED
 void token_reductions(const float *restrict cm, ptrdiff_t dim, ptrdiff_t tokens,
                       ptrdiff_t start, ptrdiff_t stop,
                       const double *const *pools, ptrdiff_t npools,

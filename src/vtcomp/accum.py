@@ -27,6 +27,11 @@ when it did not (no compiler, an unwritable cache directory, a failed
 load).  The numpy bodies are the fallback and the parity reference; they
 also run for inputs that are not C-contiguous float32.  Building at import
 keeps the one-time compile out of the first timed call.
+
+On x86-64 glibc builds the library carries a second, AVX2 body of each C
+kernel and picks one at load time from the CPU it runs on; the bits are
+the same either way.  ``KERNEL_ISA`` names the pick: ``"avx2"`` or
+``"baseline"`` (every other host and CPU), and None under numpy.
 """
 
 from __future__ import annotations
@@ -41,8 +46,10 @@ import numpy as np
 from .errors import ShapeMismatchError
 
 # No -march=native and no fast-math: the library must give the same bits as
-# numpy on any host.  -ffp-contract=off forbids fusing a multiply and an add
-# into one FMA, which rounds once instead of twice.
+# numpy on any host, and the cached build must load on any x86-64 CPU that
+# shares the directory (the AVX2 bodies are chosen at run time instead).
+# -ffp-contract=off forbids fusing a multiply and an add into one FMA, which
+# rounds once instead of twice.
 _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 # Channel-major block one scoring worker transposes and reduces at a time:
 # small enough to stay in a per-core L2 between the two passes.
@@ -60,15 +67,21 @@ def _load_library():
         target = os.path.join(here, "__pycache__", f"_accum.{key}.so")
         if not os.path.exists(target):
             _build(source, target)
-        lib = ctypes.CDLL(target)
+        return _declare(ctypes.CDLL(target))
     except OSError:
         return None
+
+
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """Set the argument and result types of the library's entry points."""
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     lib.frame_token_sums.argtypes = [ptr, size, size, size, ptr]
     lib.transpose_tokens.argtypes = [ptr, size, size, size, size, ptr]
     lib.token_reductions.argtypes = [ptr, size, size, size, size, ptr, size, ptr, ptr]
     for fn in (lib.frame_token_sums, lib.transpose_tokens, lib.token_reductions):
         fn.restype = None
+    lib.kernel_isa.argtypes = []
+    lib.kernel_isa.restype = ctypes.c_char_p
     return lib
 
 
@@ -93,6 +106,7 @@ def _build(source: str, target: str) -> None:
 
 _lib = _load_library()
 KERNEL = "numpy" if _lib is None else "c"
+KERNEL_ISA = None if _lib is None else _lib.kernel_isa().decode()
 
 
 def _f32c(array: np.ndarray) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import accum
 from .budget import window_edges
-from .compress import CompressResult, compress, score_windows, select_mask, topk_select
+from .compress import CompressResult, compress, score_windows, select_mask
 from .errors import ConfigError, VtcompError
 from .formats import (
     export_indices,
@@ -284,7 +284,9 @@ def _cmd_ablate(args) -> None:
         window_edges(tensor.frames, window)
     # The base run scores windows 1 and base.window, one more pass the rest.
     result = compress(tensor, base, threads=args.threads)
-    base_mask = topk_select(result.report.combined_score, result.allocation.per_frame_count)
+    base_mask = np.zeros(result.report.combined_score.shape, dtype=bool)
+    for row, kept in zip(base_mask, result.selection.kept_indices):
+        row[kept] = True
     grids = {1: result.report.frame_score, base.window: result.report.video_score}
     missing = [window for window in windows if window not in grids]
     if missing:
@@ -346,6 +348,7 @@ def _cmd_bench(args) -> None:
         if peak_kb is not None:
             print(f"peak rss: {peak_kb} KB")
         print(f"kernel: {accum.KERNEL}")
+        print(f"isa: {accum.KERNEL_ISA}")
 
 
 def _peak_rss_kb():

@@ -321,6 +321,25 @@ class TestAblate:
         assert code == 0, err
         assert sum(pools_scored) == pools
 
+    def test_each_grid_ranked_once_per_selection(self, capsys, tmp_path, monkeypatch):
+        # 60 cells plus the base compress; the base mask reuses that ranking.
+        src = gen(capsys, tmp_path, frames=4, tokens=6, dim=4)
+        code, before, err = run(capsys, "ablate", "-i", str(src))
+        assert code == 0, err
+        calls = []
+
+        def spy(real):
+            return lambda *args: calls.append(1) or real(*args)
+
+        # vtcomp.compress is the function; cli may hold a name of its own
+        for module in (sys.modules["vtcomp.compress"], vtcomp.cli):
+            if hasattr(module, "topk_select"):
+                monkeypatch.setattr(module, "topk_select", spy(module.topk_select))
+        code, after, err = run(capsys, "ablate", "-i", str(src))
+        assert code == 0, err
+        assert len(calls) == 61
+        assert after == before
+
     def test_out_of_range_window_scores_nothing(self, capsys, tmp_path, pools_scored):
         src = gen(capsys, tmp_path, frames=4, tokens=6, dim=4)
         code, out, err = run(capsys, "ablate", "-i", str(src), "--windows", "global,2,9")
@@ -361,7 +380,8 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--frames", "2", "--tokens", "4",
                            "--dim", "4", "--iters", "1")
         assert code == 0
-        assert f"kernel: {accum.KERNEL}" in out.splitlines()
+        lines = out.splitlines()
+        assert lines[lines.index(f"kernel: {accum.KERNEL}") + 1] == f"isa: {accum.KERNEL_ISA}"
         code, out, _ = run(capsys, "bench", "--frames", "2", "--tokens", "4",
                            "--dim", "4", "--iters", "1", "--format", "csv")
         header, row = out.strip().split("\n")

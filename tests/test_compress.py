@@ -1,5 +1,7 @@
+import ctypes
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -400,14 +402,19 @@ class TestCompress:
                                       np.array(ref["u_frame"]))
 
 
-def _numpy_body(fn, *args, **kwargs):
-    """Call an accum kernel with the compiled library hidden."""
-    lib = accum._lib
-    accum._lib = None
+def _with_lib(lib, fn, *args, **kwargs):
+    """Call an accum kernel with ``lib`` in place of the loaded library."""
+    loaded = accum._lib
+    accum._lib = lib
     try:
         return fn(*args, **kwargs)
     finally:
-        accum._lib = lib
+        accum._lib = loaded
+
+
+def _numpy_body(fn, *args, **kwargs):
+    """Call an accum kernel with the compiled library hidden."""
+    return _with_lib(None, fn, *args, **kwargs)
 
 
 def _scaled(rng, shape, dtype):
@@ -433,10 +440,67 @@ print(accum.KERNEL, h.hexdigest())
 """
 
 
+def _expected_isa():
+    """The body _accum.c picks here: AVX2 on x86-64 Linux CPUs that have it."""
+    if platform.machine() != "x86_64":
+        return "baseline"
+    if not sys.platform.startswith("linux"):
+        pytest.skip("CPU flags are read from /proc/cpuinfo")
+    with open("/proc/cpuinfo") as fh:
+        flags = next(line for line in fh if line.startswith("flags")).split()
+    return "avx2" if "avx2" in flags else "baseline"
+
+
+@pytest.fixture(scope="class")
+def baseline_lib(tmp_path_factory):
+    """``_accum.c`` built with the usual flags and its x86 dispatch compiled
+    out, so the baseline bodies run on any CPU."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    target = tmp_path_factory.mktemp("baseline") / "_accum_baseline.so"
+    source = Path(accum.__file__).with_name("_accum.c")
+    subprocess.run(["cc", *accum._FLAGS, "-DVTCOMP_BASELINE_ONLY", "-o", str(target),
+                    str(source)], check=True, capture_output=True, timeout=300)
+    return accum._declare(ctypes.CDLL(str(target)))
+
+
 class TestCompiledKernels:
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_compiler_present_means_compiled_kernel(self):
         assert accum.KERNEL == "c"
+
+    def test_isa_names_the_body_that_runs(self):
+        if accum.KERNEL == "numpy":
+            assert accum.KERNEL_ISA is None
+        else:
+            assert accum.KERNEL_ISA == _expected_isa()
+
+    @pytest.mark.skipif(accum.KERNEL != "c", reason="compiled kernel not loaded")
+    @given(
+        frames=st.integers(1, 6),
+        tokens=st.one_of(st.integers(1, 40), st.sampled_from([511, 512, 513, 1100])),
+        dim=st.integers(1, 70),
+        pools=st.integers(1, 6),
+        bounds=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_baseline_body_gives_the_same_bytes(self, baseline_lib, frames, tokens, dim,
+                                                pools, bounds, seed):
+        assert baseline_lib.kernel_isa() == b"baseline"
+        rng = np.random.default_rng(seed)
+        values = _scaled(rng, (frames, tokens, dim), np.float32)
+        rows = [_scaled(rng, (frames, dim), np.float64) for _ in range(pools)]
+        start, stop = sorted(min(b, frames) for b in bounds)
+
+        def outputs(lib):
+            sums = _with_lib(lib, accum.frame_token_sums, values)
+            block = _with_lib(lib, accum.transpose_tokens, values, start=start, stop=stop)
+            sq, dots = _with_lib(lib, accum.token_reductions, block, frames, tokens, rows,
+                                 start, stop)
+            return [a.tobytes() for a in (sums, block, sq, *dots)]
+
+        assert outputs(baseline_lib) == outputs(accum._lib)
 
     @pytest.mark.skipif(accum.KERNEL != "c", reason="compiled kernel not loaded")
     @given(
