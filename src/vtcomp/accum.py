@@ -182,7 +182,7 @@ def token_reductions(
     absolute frame.  Returns the (stop - start, M) squared-norm grid and one
     such dot grid per pool matrix, all accumulated left to right over
     channels.  The frame range lets threaded callers compute disjoint
-    slices.
+    slices.  A pool matrix of any other shape raises ``ShapeMismatchError``.
     """
     if stop is None:
         stop = frames
@@ -190,17 +190,19 @@ def token_reductions(
         raise ValueError(f"frame range [{start}, {stop}) outside 0..{frames}")
     dim = channel_major.shape[0]
     span = stop - start
+    for rows in pool_rows:
+        if rows.shape != (frames, dim):
+            raise ShapeMismatchError(f"expected {(frames, dim)} pools, got {rows.shape}")
 
     if _lib is not None and _f32c(channel_major) \
             and channel_major.shape == (dim, span * tokens):
         pools = [np.ascontiguousarray(rows, dtype=np.float64) for rows in pool_rows]
-        if all(rows.shape == (frames, dim) for rows in pools):
-            sq = np.empty((span, tokens), dtype=np.float64)
-            dots = [np.empty((span, tokens), dtype=np.float64) for _ in pools]
-            _lib.token_reductions(channel_major.ctypes.data, dim, tokens, start, stop,
-                                  _pointers(pools), len(pools), sq.ctypes.data,
-                                  _pointers(dots))
-            return sq, dots
+        sq = np.empty((span, tokens), dtype=np.float64)
+        dots = [np.empty((span, tokens), dtype=np.float64) for _ in pools]
+        _lib.token_reductions(channel_major.ctypes.data, dim, tokens, start, stop,
+                              _pointers(pools), len(pools), sq.ctypes.data,
+                              _pointers(dots))
+        return sq, dots
 
     # (D', span, M) view of this frame range; each [c] is one contiguous
     # channel plane.  (D', span, 1) pool columns broadcast per channel.

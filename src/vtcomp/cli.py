@@ -59,7 +59,10 @@ def _window_value(text: str):
 
 
 def _window_list(text: str) -> list:
-    return [_window_value(w.strip()) for w in text.split(",") if w.strip()]
+    windows = [_window_value(w.strip()) for w in text.split(",") if w.strip()]
+    if not windows:
+        raise argparse.ArgumentTypeError(f"expected at least one window, got {text!r}")
+    return windows
 
 
 def _threads_value(text: str) -> int:

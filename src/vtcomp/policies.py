@@ -1,14 +1,17 @@
 """Reference selection policies sharing one interface for head-to-head runs.
 
-All policies are attention-free: they consume only the token tensor itself,
-never model internals, so they slot in front of any consumer.  Each policy
-is pure given (input, seed) and emits the same ascending-index,
-exact-copy selections as the main pipeline.
+Each policy resolves to one ``RetentionConfig`` when built (``uniform`` and
+``random`` take uniform budgets), then ``random`` keeps seeded random tokens
+and the others rank them with :func:`compress`.  Policies are attention-free:
+they read only the token tensor, never model internals.  Each is pure given
+(input, seed) and emits the same ascending-index, exact-copy selections as
+the main pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 
 import numpy as np
 
@@ -25,7 +28,9 @@ class Policy:
     """A named selection policy: the adaptive pipeline, a fixed-ratio
     variant, or seeded random dropping.
 
-    The seed, an int >= 0, only matters for the random policy; identical
+    ``config`` is resolved once and is never None: ``RetentionConfig()``
+    by default, with uniform budgets for ``uniform`` and ``random``.  The
+    seed, an int >= 0, only matters for the random policy; identical
     (name, config, seed, input) always produces identical output.
     """
 
@@ -37,26 +42,28 @@ class Policy:
         if self.name not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.name!r}, expected one of {POLICY_NAMES}")
         object.__setattr__(self, "seed", int_at_least("seed", self.seed, 0))
+        config = self.config or RetentionConfig()
+        if self.name in ("uniform", "random"):
+            config = replace(config, adjustment=Adjustment.UNIFORM)
+        object.__setattr__(self, "config", config)
 
     @property
     def descriptor(self) -> str:
-        cfg = self.config or RetentionConfig()
-        if self.name == "random":
-            return f"random(ratio={cfg.ratio}, seed={self.seed})"
-        if self.name == "uniform":
-            return f"uniform(ratio={cfg.ratio})"
-        return (
-            f"vidcom2(ratio={cfg.ratio}, window={cfg.window}, "
-            f"mode={cfg.score_mode.value}, agg={cfg.frame_aggregation.value})"
-        )
+        pairs = ((f.name, getattr(self.config, f.name)) for f in fields(RetentionConfig))
+        settings = "".join(f"{k}={v.value if isinstance(v, Enum) else v}, " for k, v in pairs)
+        return f"{self.name}({settings}seed={self.seed})"
 
     def run(self, tensor: TokenTensor, threads: int = 1) -> CompressedSelection:
-        cfg = self.config or RetentionConfig()
-        if self.name == "random":
-            return random_drop(tensor, cfg.ratio, self.seed)
-        if self.name == "uniform":
-            cfg = replace(cfg, adjustment=Adjustment.UNIFORM)
-        return compress(tensor, cfg, threads=threads).selection
+        if self.name != "random":
+            return compress(tensor, self.config, threads=threads).selection
+        frames, tokens, _ = tensor.values.shape
+        counts = allocate_uniform(frames, self.config.ratio, tokens,
+                                  self.config.min_tokens_per_frame).per_frame_count
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        keep = np.zeros((frames, tokens), dtype=bool)
+        for row, count in zip(keep, counts):
+            row[rng.permutation(tokens)[:count]] = True
+        return CompressedSelection.from_mask(tensor.values, keep)
 
 
 def random_drop(tensor: TokenTensor, ratio: float, seed: int) -> CompressedSelection:
@@ -67,15 +74,7 @@ def random_drop(tensor: TokenTensor, ratio: float, seed: int) -> CompressedSelec
     keeping the first k, reported ascending.  The same (input shape, ratio,
     seed) therefore always selects the same indices.
     """
-    if not (0.0 < ratio <= 1.0):
-        raise ConfigError(f"ratio must be in (0, 1], got {ratio}")
-    frames, tokens, _ = tensor.values.shape
-    counts = allocate_uniform(frames, ratio, tokens).per_frame_count
-    rng = np.random.Generator(np.random.PCG64(int_at_least("seed", seed, 0)))
-    keep = np.zeros((frames, tokens), dtype=bool)
-    for row, count in zip(keep, counts):
-        row[rng.permutation(tokens)[:count]] = True
-    return CompressedSelection.from_mask(tensor.values, keep)
+    return Policy("random", RetentionConfig(ratio=ratio), seed).run(tensor)
 
 
 def uniform_topk(tensor: TokenTensor, config: RetentionConfig | None = None,

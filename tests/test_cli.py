@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,6 +13,7 @@ from vtcomp import accum
 from vtcomp import (Adjustment, Aggregation, RetentionConfig, ScoreMode, TokenTensor,
                     compress, read_vtok, write_vtok)
 from vtcomp.cli import _config_from, build_parser, main
+from vtcomp.policies import POLICY_NAMES, Policy
 
 
 def run(capsys, *argv):
@@ -166,6 +168,34 @@ class TestCompress:
         sidecar = (tmp_path / "u.vtok.indices.csv").read_text().strip().split("\n")
         assert len(sidecar) == 1 + 2 * 49
 
+    def test_random_policy_honours_min_tokens(self, capsys, tmp_path):
+        src = gen(capsys, tmp_path, frames=4, tokens=3, dim=2)
+        out = tmp_path / "r.vtok"
+        assert run(capsys, "compress", "-i", str(src), "-o", str(out), "--policy", "random",
+                   "--ratio", "0.1", "--min-tokens", "3")[0] == 0
+        assert read_vtok(out).values.shape == (4, 3, 2)
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_summary_line_names_the_resolved_config(self, capsys, tmp_path, name):
+        src = gen(capsys, tmp_path)
+        argv = ["compress", "-i", str(src), "-o", str(tmp_path / "c.vtok"),
+                "--policy", name, "--window", "2", "--score-mode", "frame_only", "--seed", "4"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        args = build_parser().parse_args(argv)
+        descriptor = Policy(name, _config_from(args), 4).descriptor
+        assert out.startswith(f"{descriptor}: kept ")
+        assert "window=2" in descriptor and "score_mode=frame_only" in descriptor
+
+    def test_summary_line_names_the_adjustment(self, capsys, tmp_path):
+        src = gen(capsys, tmp_path)
+        lines = []
+        for extra in ([], ["--adjustment", "uniform"]):
+            code, out, _ = run(capsys, "compress", "-i", str(src), "-o",
+                               str(tmp_path / "c.vtok"), *extra)
+            assert code == 0
+            lines.append(out.split(": kept ")[0])
+        assert "adjustment=adaptive" in lines[0] and "adjustment=uniform" in lines[1]
 
     def test_failed_sidecar_leaves_no_output(self, capsys, tmp_path):
         src = gen(capsys, tmp_path)
@@ -526,6 +556,14 @@ class TestFlagsCheckedFirst:
         assert err.startswith("error: flag: seed") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("windows", ["", ",", " , "])
+    def test_ablate_window_list_naming_no_window(self, capsys, tmp_path, windows):
+        # The input does not exist: reading it first would be an io error.
+        code, out, err = run(capsys, "ablate", "-i", str(tmp_path / "missing.vtok"),
+                             "--windows", windows)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: flag:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("model", ["iid", "clustered", "outlier"])
     @pytest.mark.parametrize("noise", ["nan", "inf", "-inf"])
     def test_gen_non_finite_noise(self, capsys, tmp_path, generated, model, noise):
@@ -573,3 +611,22 @@ class TestConfigFlags:
         assert _config_from(args) == default
         for name, value in vars(default).items():
             assert getattr(args, name) == value, name
+
+
+def _readme_cli_commands():
+    """The ``vtcomp`` lines of the README's ``## CLI`` bash block, with
+    continued lines joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    return [shlex.split(line) for line in lines]
+
+
+def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
+    commands = _readme_cli_commands()
+    assert commands and all(argv[0] == "vtcomp" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, f"{shlex.join(argv)}: {err}"

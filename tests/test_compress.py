@@ -401,6 +401,55 @@ class TestCompress:
                 assert np.array_equal(frame_token_uniqueness(t, frame_pool(t)),
                                       np.array(ref["u_frame"]))
 
+    @pytest.mark.parametrize("kernel", ["loaded", "numpy"])
+    @pytest.mark.parametrize("extra", [(3, 0), (0, 1)])  # (T+3, D'), then (T, D'+1)
+    def test_wrong_pool_shape_is_an_error_in_either_body(self, rng, monkeypatch,
+                                                         kernel, extra):
+        if kernel == "numpy":
+            monkeypatch.setattr(accum, "_lib", None)
+        frames, tokens, dim = 4, 5, 6
+        values = rng.standard_normal((frames, tokens, dim)).astype(np.float32)
+        block = accum.transpose_tokens(values)
+        good = rng.standard_normal((frames, dim))
+        bad = rng.standard_normal((frames + extra[0], dim + extra[1]))
+        with pytest.raises(ShapeMismatchError):
+            accum.token_reductions(block, frames, tokens, [good, bad])
+
+
+class TestScaleInvariance:
+    """Criterion 4's scale invariance over every config: a power-of-two
+    scale changes no float bit, so budgets, kept indices and every score
+    grid are byte-equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 12), st.integers(1, 9)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+        exponent=st.integers(-12, 12),
+    )
+    def test_power_of_two_scale_changes_no_byte(self, shape, seed, data, exponent):
+        frames, tokens, _ = shape
+        values = np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+        cfg = RetentionConfig(
+            ratio=data.draw(st.floats(0.0, 1.0, exclude_min=True)),
+            window=data.draw(st.one_of(st.just("global"), st.integers(1, frames))),
+            adjustment=data.draw(st.sampled_from(Adjustment)),
+            frame_aggregation=data.draw(st.sampled_from(Aggregation)),
+            score_mode=data.draw(st.sampled_from(ScoreMode)),
+            alpha=data.draw(st.floats(0.0, 4.0)),
+            beta=data.draw(st.floats(0.01, 4.0)),
+            min_tokens_per_frame=data.draw(st.integers(1, 14)),
+        )
+        a = compress(TokenTensor.from_array(values), cfg)
+        b = compress(TokenTensor.from_array(values * np.float32(2.0 ** exponent)), cfg)
+        assert a.allocation.per_frame_count.tobytes() == b.allocation.per_frame_count.tobytes()
+        assert [i.tobytes() for i in a.selection.kept_indices] == \
+            [i.tobytes() for i in b.selection.kept_indices]
+        for name in ("video_score", "frame_score", "combined_score", "frame_uniqueness",
+                     "frame_weight"):
+            assert getattr(a.report, name).tobytes() == getattr(b.report, name).tobytes()
+
 
 def _with_lib(lib, fn, *args, **kwargs):
     """Call an accum kernel with ``lib`` in place of the loaded library."""

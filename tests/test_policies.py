@@ -1,18 +1,25 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtcomp import (
     Adjustment,
+    Aggregation,
     ConfigError,
     Policy,
     RetentionConfig,
+    ScoreMode,
     TokenTensor,
+    allocate_uniform,
     compress,
     random_drop,
     uniform_topk,
 )
+from vtcomp.policies import POLICY_NAMES
 
 
 @pytest.fixture
@@ -134,3 +141,79 @@ def test_policy_seed_must_be_a_non_negative_int(name, seed):
 def test_random_drop_seed_must_be_a_non_negative_int(tensor, seed):
     with pytest.raises(ConfigError):
         random_drop(tensor, 0.5, seed)
+
+
+def _same_bytes(a, b):
+    return ([x.tobytes() for x in a.kept_indices + a.compressed]
+            == [x.tobytes() for x in b.kept_indices + b.compressed])
+
+
+@st.composite
+def cases(draw):
+    """A small seeded tensor and any config its shape can address."""
+    frames, tokens = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tensor = TokenTensor.from_array(rng.standard_normal((frames, tokens, dim)).astype(np.float32))
+    config = RetentionConfig(
+        ratio=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        window=draw(st.one_of(st.just("global"), st.integers(1, frames))),
+        adjustment=draw(st.sampled_from(Adjustment)),
+        frame_aggregation=draw(st.sampled_from(Aggregation)),
+        score_mode=draw(st.sampled_from(ScoreMode)),
+        alpha=draw(st.floats(0.0, 4.0)),
+        beta=draw(st.floats(0.01, 4.0)),
+        min_tokens_per_frame=draw(st.integers(1, tokens + 2)),
+    )
+    return tensor, config
+
+
+class TestOneBudgetRule:
+    """Every policy takes its budgets from its resolved config."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cases(), st.integers(0, 2**32 - 1))
+    def test_uniform_budgets_are_one_rule(self, case, seed):
+        tensor, cfg = case
+        uniform = Policy("uniform", cfg).run(tensor)
+        vidcom2 = Policy("vidcom2", replace(cfg, adjustment=Adjustment.UNIFORM)).run(tensor)
+        assert _same_bytes(uniform, vidcom2)
+        assert _same_bytes(uniform, uniform_topk(tensor, cfg))
+        frames, tokens, _ = tensor.values.shape
+        counts = allocate_uniform(frames, cfg.ratio, tokens, cfg.min_tokens_per_frame)
+        assert uniform.counts.tolist() == counts.per_frame_count.tolist()
+        assert (Policy("random", cfg, seed).run(tensor).counts.tolist()
+                == counts.per_frame_count.tolist())
+
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_config_is_resolved_once(self, name):
+        policy = Policy(name)
+        assert policy.config == Policy(name, policy.config).config
+        expected = Adjustment.ADAPTIVE if name == "vidcom2" else Adjustment.UNIFORM
+        assert policy.config.adjustment is expected
+
+
+def _parse(text):
+    for cast in (int, float):
+        try:
+            return cast(text)
+        except ValueError:
+            pass
+    return text
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+@pytest.mark.parametrize("config", [
+    None,
+    RetentionConfig(ratio=0.1, temperature=0.5, epsilon=1e-6, window=3,
+                    adjustment="uniform", frame_aggregation="max",
+                    score_mode="positive_video", alpha=0.0, beta=2.5,
+                    min_tokens_per_frame=4),
+])
+def test_descriptor_names_every_setting(name, config):
+    policy = Policy(name, config, seed=9)
+    head, _, body = policy.descriptor.partition("(")
+    assert head == name and body.endswith(")")
+    pairs = dict(pair.split("=", 1) for pair in body[:-1].split(", "))
+    assert pairs.pop("seed") == "9"
+    assert RetentionConfig(**{k: _parse(v) for k, v in pairs.items()}) == policy.config
