@@ -21,12 +21,12 @@ Every other float sum goes through ``ordered_sums``, in ascending order.
 have a C body in ``_accum.c`` that keeps the same order bit for bit.  It is
 compiled once, at import, into ``__pycache__`` (named by a hash of source
 and flags, so later imports only load it) and called through ``ctypes``,
-which releases the GIL for the frame-chunked threads.  ``KERNEL`` says
-which body runs: ``"c"`` when the library built and loaded, ``"numpy"``
-when it did not (no compiler, an unwritable cache directory, a failed
-load).  The numpy bodies are the fallback and the parity reference; they
-also run for inputs that are not C-contiguous float32.  Building at import
-keeps the one-time compile out of the first timed call.
+which releases the GIL for the frame-chunked threads.  The body is picked
+once per process: ``KERNEL`` is ``"c"`` when the library built and loaded,
+and the C body then runs for every input; it is ``"numpy"`` when it did not
+(no compiler, an unwritable cache directory, a failed load), and only then
+do the numpy bodies, also the parity reference, run.  Inputs are copied to
+C order where needed.  Building at import keeps the compile out of timing.
 
 On x86-64 glibc builds the library carries a second, AVX2 body of each C
 kernel and picks one at load time from the CPU it runs on; the bits are
@@ -109,12 +109,17 @@ KERNEL = "numpy" if _lib is None else "c"
 KERNEL_ISA = None if _lib is None else _lib.kernel_isa().decode()
 
 
-def _f32c(array: np.ndarray) -> bool:
-    return array.dtype == np.float32 and array.flags.c_contiguous
-
-
 def _pointers(arrays) -> ctypes.Array:
     return (ctypes.c_void_p * len(arrays))(*[a.ctypes.data for a in arrays])
+
+
+def _frame_range(frames: int, start: int, stop: int | None) -> int:
+    """``stop`` (every frame by default) once [start, stop) lies in 0..frames."""
+    if stop is None:
+        stop = frames
+    if not 0 <= start <= stop <= frames:
+        raise ValueError(f"frame range [{start}, {stop}) outside 0..{frames}")
+    return stop
 
 
 def frame_token_sums(values: np.ndarray) -> np.ndarray:
@@ -122,14 +127,14 @@ def frame_token_sums(values: np.ndarray) -> np.ndarray:
 
     Accumulates tokens in ascending order within each frame.
     """
+    values = np.ascontiguousarray(values, dtype=np.float32)
     frames, tokens, dim = values.shape
-    if _lib is not None and _f32c(values):
-        sums = np.empty((frames, dim), dtype=np.float64)
-        _lib.frame_token_sums(values.ctypes.data, frames, tokens, dim, sums.ctypes.data)
-        return sums
     sums = np.zeros((frames, dim), dtype=np.float64)
-    for m in range(tokens):
-        np.add(sums, values[:, m, :], out=sums)
+    if _lib is not None:
+        _lib.frame_token_sums(values.ctypes.data, frames, tokens, dim, sums.ctypes.data)
+    else:
+        for m in range(tokens):
+            np.add(sums, values[:, m, :], out=sums)
     return sums
 
 
@@ -146,22 +151,24 @@ def transpose_tokens(values: np.ndarray, out: np.ndarray | None = None,
 
     Works frame by frame so each source block stays cache-resident.  With
     ``out``/``start``/``stop`` a worker fills a block holding just its own
-    frame range; the default is every frame.
+    frame range; the default is every frame.  Any ``out`` but a writable
+    C-ordered float32 array of that shape raises ``ShapeMismatchError``.
     """
+    values = np.ascontiguousarray(values, dtype=np.float32)
     frames, tokens, dim = values.shape
-    if stop is None:
-        stop = frames
-    if not 0 <= start <= stop <= frames:
-        raise ValueError(f"frame range [{start}, {stop}) outside 0..{frames}")
+    stop = _frame_range(frames, start, stop)
+    shape = (dim, (stop - start) * tokens)
     if out is None:
-        out = np.empty((dim, (stop - start) * tokens), dtype=np.float32)
-    if (_lib is not None and _f32c(values) and _f32c(out)
-            and out.shape == (dim, (stop - start) * tokens)):
+        out = np.empty(shape, dtype=np.float32)
+    if out.shape != shape or out.dtype != np.float32 or not out.flags.c_contiguous \
+            or not out.flags.writeable:
+        raise ShapeMismatchError(f"expected writable C-ordered float32 {shape}, got {out.dtype}")
+    if _lib is not None:
         _lib.transpose_tokens(values.ctypes.data, tokens, dim, start, stop, out.ctypes.data)
-        return out
-    for t in range(start, stop):
-        col = (t - start) * tokens
-        out[:, col : col + tokens] = values[t].T
+    else:
+        for t in range(start, stop):
+            col = (t - start) * tokens
+            out[:, col : col + tokens] = values[t].T
     return out
 
 
@@ -182,38 +189,32 @@ def token_reductions(
     absolute frame.  Returns the (stop - start, M) squared-norm grid and one
     such dot grid per pool matrix, all accumulated left to right over
     channels.  The frame range lets threaded callers compute disjoint
-    slices.  A pool matrix of any other shape raises ``ShapeMismatchError``.
+    slices.  A block or pool matrix of any other shape raises ``ShapeMismatchError``.
     """
-    if stop is None:
-        stop = frames
-    if not 0 <= start <= stop <= frames:
-        raise ValueError(f"frame range [{start}, {stop}) outside 0..{frames}")
-    dim = channel_major.shape[0]
+    stop = _frame_range(frames, start, stop)
+    block = np.ascontiguousarray(channel_major, dtype=np.float32)
+    dim = block.shape[0]
     span = stop - start
-    for rows in pool_rows:
+    if block.shape != (dim, span * tokens):
+        raise ShapeMismatchError(f"expected a {(dim, span * tokens)} block, got {block.shape}")
+    pools = [np.ascontiguousarray(rows, dtype=np.float64) for rows in pool_rows]
+    for rows in pools:
         if rows.shape != (frames, dim):
             raise ShapeMismatchError(f"expected {(frames, dim)} pools, got {rows.shape}")
+    sq = np.zeros((span, tokens), dtype=np.float64)
+    dots = [np.zeros((span, tokens), dtype=np.float64) for _ in pools]
 
-    if _lib is not None and _f32c(channel_major) \
-            and channel_major.shape == (dim, span * tokens):
-        pools = [np.ascontiguousarray(rows, dtype=np.float64) for rows in pool_rows]
-        sq = np.empty((span, tokens), dtype=np.float64)
-        dots = [np.empty((span, tokens), dtype=np.float64) for _ in pools]
-        _lib.token_reductions(channel_major.ctypes.data, dim, tokens, start, stop,
+    if _lib is not None:
+        _lib.token_reductions(block.ctypes.data, dim, tokens, start, stop,
                               _pointers(pools), len(pools), sq.ctypes.data,
                               _pointers(dots))
         return sq, dots
 
     # (D', span, M) view of this frame range; each [c] is one contiguous
     # channel plane.  (D', span, 1) pool columns broadcast per channel.
-    planes = channel_major.reshape(dim, span, tokens)
-    pool_cols = [
-        np.ascontiguousarray(rows[start:stop].T).reshape(dim, span, 1)
-        for rows in pool_rows
-    ]
-
-    sq = np.zeros((span, tokens), dtype=np.float64)
-    dots = [np.zeros((span, tokens), dtype=np.float64) for _ in pool_rows]
+    planes = block.reshape(dim, span, tokens)
+    pool_cols = [np.ascontiguousarray(rows[start:stop].T).reshape(dim, span, 1)
+                 for rows in pools]
     for c in range(dim):
         chan = planes[c].astype(np.float64)
         sq += chan * chan
@@ -265,6 +266,7 @@ def uniqueness_grids(values: np.ndarray, pool_rows: list[np.ndarray],
     pay per call, so they take the whole chunk as one block.  A pool matrix
     of any other shape raises ``ShapeMismatchError``.
     """
+    values = np.ascontiguousarray(values, dtype=np.float32)
     frames, tokens, dim = values.shape
     for rows in pool_rows:
         if rows.shape != (frames, dim):
@@ -272,10 +274,7 @@ def uniqueness_grids(values: np.ndarray, pool_rows: list[np.ndarray],
     sq = np.empty((frames, tokens), dtype=np.float64)
     dots = [np.empty((frames, tokens), dtype=np.float64) for _ in pool_rows]
     frame_size = tokens * dim
-    if _lib is not None and _f32c(values):
-        block = max(1, _BLOCK_BYTES // (4 * frame_size))
-    else:
-        block = frames
+    block = max(1, _BLOCK_BYTES // (4 * frame_size)) if _lib is not None else frames
 
     def reduce_phase(a: int, b: int) -> None:
         step = min(block, b - a)

@@ -62,11 +62,13 @@ def _window_list(text: str) -> list:
     windows = [_window_value(w.strip()) for w in text.split(",") if w.strip()]
     if not windows:
         raise argparse.ArgumentTypeError(f"expected at least one window, got {text!r}")
-    return windows
+    return list(dict.fromkeys(windows))  # a repeated window would repeat its rows
 
 
 def _threads_value(text: str) -> int:
-    if text == "auto":
+    if text == "auto":  # the CPUs this process may run on, not all the host has
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return max(1, os.cpu_count() or 1)
     try:
         value = int(text)

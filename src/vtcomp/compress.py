@@ -109,7 +109,7 @@ def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
     grid is the frame level.  Each grid is bit-identical to the one a
     single-window call gives; every window is validated before any work.
     """
-    values = tensor.values
+    values = np.ascontiguousarray(tensor.values, dtype=np.float32)  # one copy for both passes
     frames, tokens, dim = values.shape
     edges = {window: window_edges(frames, window) for window in windows}
 

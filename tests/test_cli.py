@@ -12,7 +12,7 @@ import vtcomp
 from vtcomp import accum
 from vtcomp import (Adjustment, Aggregation, RetentionConfig, ScoreMode, TokenTensor,
                     compress, read_vtok, write_vtok)
-from vtcomp.cli import _config_from, build_parser, main
+from vtcomp.cli import _config_from, _threads_value, build_parser, main
 from vtcomp.policies import POLICY_NAMES, Policy
 
 
@@ -160,6 +160,11 @@ class TestCompress:
         assert (tmp_path / "one.vtok.indices.csv").read_bytes() == \
             (tmp_path / "auto.vtok.indices.csv").read_bytes()
 
+    def test_auto_threads_count_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _threads_value("auto") == 1
+
     def test_uniform_policy_budget(self, capsys, tmp_path):
         src = gen(capsys, tmp_path, frames=2, tokens=196, dim=3)
         out = tmp_path / "u.vtok"
@@ -289,7 +294,7 @@ class TestAblate:
     @pytest.mark.parametrize("shape, flag, windows", [
         ((16, 50, 67), None, ["global", 8, 4]),  # D not a multiple of 4
         ((9, 1, 5), None, ["global", 4, 2]),  # one token per frame
-        ((12, 10, 8), "global,8,8,3", ["global", 8, 8, 3]),  # a duplicate window
+        ((12, 10, 8), "global,8,8,3", ["global", 8, 3]),  # a duplicate window runs once
         ((10, 6, 12), "10,5", ["global", 10, 5]),  # window == frames
         ((6, 5, 7), "1,3", ["global", 1, 3]),  # the frame level as a window
     ])
@@ -350,6 +355,14 @@ class TestAblate:
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert sum(pools_scored) == pools
+
+    def test_repeated_window_runs_once(self, capsys, tmp_path):
+        src = gen(capsys, tmp_path, frames=4, tokens=6, dim=4)
+        code, out, err = run(capsys, "ablate", "-i", str(src), "--windows", "2,2")
+        assert code == 0, err
+        cells = [tuple(r.split(",")[:4]) for r in out.strip().split("\n")[1:]]
+        assert len(cells) == len(set(cells)) == 40
+        assert {c[3] for c in cells} == {"global", "2"}
 
     def test_each_grid_ranked_once_per_selection(self, capsys, tmp_path, monkeypatch):
         # 60 cells plus the base compress; the base mask reuses that ranking.

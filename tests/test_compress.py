@@ -415,6 +415,57 @@ class TestCompress:
         with pytest.raises(ShapeMismatchError):
             accum.token_reductions(block, frames, tokens, [good, bad])
 
+    @staticmethod
+    def _transpose_into(out):
+        return lambda values: accum.transpose_tokens(values, out=out, start=0, stop=2)
+
+    # Each case gets a (3, 5, 4) input; frames [0, 2) fill a (4, 10) block.
+    WRONG_BUFFERS = {
+        "too-wide-out": _transpose_into(np.zeros((4, 20), dtype=np.float32)),
+        "too-narrow-out": _transpose_into(np.zeros((4, 9), dtype=np.float32)),
+        "float64-out": _transpose_into(np.zeros((4, 10), dtype=np.float64)),
+        "fortran-out": _transpose_into(np.zeros((4, 10), dtype=np.float32, order="F")),
+        "read-only-out": _transpose_into(
+            np.frombuffer(bytes(160), dtype=np.float32).reshape(4, 10)),
+        "short-block": lambda values: accum.token_reductions(
+            accum.transpose_tokens(values, start=0, stop=2)[:, :-1], 3, 5,
+            [np.ones((3, 4))], 0, 2),
+    }
+
+    @pytest.mark.parametrize("kernel", ["loaded", "numpy"])
+    @pytest.mark.parametrize("buffer", WRONG_BUFFERS)
+    def test_wrong_buffer_is_an_error_in_either_body(self, rng, monkeypatch, kernel,
+                                                     buffer):
+        if kernel == "numpy":
+            monkeypatch.setattr(accum, "_lib", None)
+        values = rng.standard_normal((3, 5, 4)).astype(np.float32)
+        with pytest.raises(ShapeMismatchError):
+            self.WRONG_BUFFERS[buffer](values)
+
+    @pytest.mark.skipif(accum.KERNEL != "c", reason="compiled kernel not loaded")
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_layout_never_picks_the_body(self, rng, monkeypatch, layout):
+        x = rng.standard_normal((6, 37, 70)).astype(np.float32)
+        if layout == "fortran":
+            values = np.asfortranarray(x)
+        else:
+            wide = np.zeros((6, 37, 140), dtype=np.float32)
+            wide[:, :, ::2] = x
+            values = wide[:, :, ::2]
+        cfg = RetentionConfig(ratio=0.4, window=2)
+
+        def outputs(result):
+            return [a.tobytes() for a in (
+                *vars(result.report).values(), result.allocation.per_frame_ratio,
+                result.allocation.per_frame_count, *result.selection.kept_indices,
+                *result.selection.compressed)]
+
+        expected = outputs(compress(TokenTensor.from_array(x), cfg))
+        spy = _LibrarySpy(accum._lib)
+        monkeypatch.setattr(accum, "_lib", spy)
+        assert outputs(compress(TokenTensor(values), cfg)) == expected
+        assert {"frame_token_sums", "transpose_tokens", "token_reductions"} <= set(spy.calls)
+
 
 class TestScaleInvariance:
     """Criterion 4's scale invariance over every config: a power-of-two
@@ -459,6 +510,22 @@ def _with_lib(lib, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     finally:
         accum._lib = loaded
+
+
+class _LibrarySpy:
+    """Forwards every entry point of a loaded library, recording each call's name."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        entry = getattr(self.lib, name)
+
+        def call(*args):
+            self.calls.append(name)
+            return entry(*args)
+
+        return call
 
 
 def _numpy_body(fn, *args, **kwargs):
