@@ -21,7 +21,15 @@ import numpy as np
 
 from . import accum
 from .budget import window_edges
-from .compress import CompressResult, compress, score_windows, select_mask
+from .compress import (
+    CompressResult,
+    combine_scores,
+    compress,
+    keep_top,
+    score_windows,
+    select_budgets,
+    token_ranks,
+)
 from .errors import ConfigError, VtcompError
 from .formats import (
     export_indices,
@@ -297,16 +305,25 @@ def _cmd_ablate(args) -> None:
     if missing:
         grids.update(score_windows(tensor, missing, threads=args.threads))
 
+    # Aggregation and adjustment change only the counts and the score mode
+    # only the ranking, so each distinct budget and ranking is built once.
+    budgets = {(agg, adj, window): select_budgets(
+                   replace(base, window=window, adjustment=adj, frame_aggregation=agg),
+                   grids)[0]
+               for agg in Aggregation for adj in Adjustment for window in windows}
+
     header = "score_mode,aggregation,adjustment,window,total_kept,budget_spread,jaccard_vs_default"
     rows = []
     for mode in ScoreMode:
+        ranks = {window: token_ranks(combine_scores(grids[1], grids[window], mode,
+                                                    base.alpha, base.beta))
+                 for window in windows}
         for agg in Aggregation:
             for adj in Adjustment:
                 for window in windows:
-                    cfg = replace(base, window=window, adjustment=adj,
-                                  frame_aggregation=agg, score_mode=mode)
-                    mask, allocation, _ = select_mask(cfg, grids)
+                    allocation = budgets[agg, adj, window]
                     counts = allocation.per_frame_count
+                    mask = keep_top(ranks[window], counts)
                     rows.append(
                         f"{mode.value},{agg.value},{adj.value},{window},"
                         f"{allocation.total_kept},"

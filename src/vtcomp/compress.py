@@ -3,9 +3,12 @@
 Builds on stage 1: tokens are scored against their own frame's mean and the
 video-level pool, the two uniqueness scores combine into one ranking, and
 each frame keeps its budgeted top-k tokens in original order.  ``compress``
-runs both stages end to end and returns every intermediate artifact; a
-caller that varies only budgets and selection over a few windows can call
-``score_windows`` once and ``select_mask`` per configuration.
+runs both stages end to end and returns every intermediate artifact.
+Ranking and counting are separate steps: ``token_ranks`` ranks a grid once
+and ``keep_top`` cuts that ranking at any count vector, so a caller that
+varies budgets and score modes over a few windows can call
+``score_windows`` once, ``select_budgets`` once per distinct budget and
+``token_ranks`` once per distinct combined grid.
 """
 
 from __future__ import annotations
@@ -75,29 +78,49 @@ def combine_scores(u_frame, u_video, mode: ScoreMode = ScoreMode.COMBINED,
     return -uv
 
 
+def token_ranks(grid) -> np.ndarray:
+    """Each token's position in its row's stable descending order: (T, M).
+
+    Rank 0 is the row's largest score; equal scores rank by lower index
+    first, and -0.0 ties with 0.0.  One ``argsort`` and one scatter.
+    """
+    grid = np.asarray(grid, dtype=np.float64)
+    order = np.argsort(-grid, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(grid.shape[1]), axis=1)
+    return ranks
+
+
+def keep_top(ranks: np.ndarray, counts) -> np.ndarray:
+    """The (T, M) keep mask of the ``counts[t]`` best-ranked tokens of row t.
+
+    ``ranks`` comes from :func:`token_ranks`, so one ranking serves any
+    number of count vectors.  Counts must have shape ``(T,)`` and lie in
+    0..M.
+    """
+    frames, tokens = ranks.shape
+    counts = np.asarray(counts)
+    if counts.shape != (frames,):
+        raise ShapeMismatchError(f"expected {frames} counts, got shape {counts.shape}")
+    bad = (counts < 0) | (counts > tokens)
+    if bad.any():
+        raise KExceedsMError(f"k={counts[bad][0]} outside 0..{tokens}")
+    return ranks < counts[:, None]
+
+
 def topk_select(scores, k):
     """Indices of the k largest scores, ascending, ties to the lower index.
 
     The ascending output preserves the tokens' original order for downstream
     consumers that rely on positional structure.  Given a (T, M) grid and
     one count per row, returns the (T, M) boolean keep mask whose row t is
-    true exactly at ``topk_select(scores[t], k[t])``.
+    true exactly at ``topk_select(scores[t], k[t])``: that is
+    ``keep_top(token_ranks(scores), k)``.
     """
     grid = np.asarray(scores, dtype=np.float64)
-    row = grid.ndim != 2
-    if row:
-        grid, k = grid.reshape(1, -1), [k]
-    frames, tokens = grid.shape
-    counts = np.asarray(k)
-    if counts.shape != (frames,):
-        raise ShapeMismatchError(f"expected {frames} counts, got shape {counts.shape}")
-    bad = (counts < 0) | (counts > tokens)
-    if bad.any():
-        raise KExceedsMError(f"k={counts[bad][0]} outside 0..{tokens}")
-    order = np.argsort(-grid, axis=1, kind="stable")
-    keep = np.zeros(grid.shape, dtype=bool)
-    np.put_along_axis(keep, order, np.arange(tokens) < counts[:, None], axis=1)
-    return np.flatnonzero(keep[0]) if row else keep
+    if grid.ndim == 2:
+        return keep_top(token_ranks(grid), k)
+    return np.flatnonzero(keep_top(token_ranks(grid.reshape(1, -1)), [k])[0])
 
 
 def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
@@ -124,17 +147,15 @@ def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
     return dict(zip(edges, accum.uniqueness_grids(values, pools, threads)))
 
 
-def select_mask(config: RetentionConfig, grids: dict
-                ) -> tuple[np.ndarray, BudgetAllocation, ScoreReport]:
-    """Budgets and the (T, M) keep mask from precomputed uniqueness grids.
+def select_budgets(config: RetentionConfig, grids: dict
+                   ) -> tuple[BudgetAllocation, np.ndarray, np.ndarray]:
+    """Per-frame budgets from precomputed uniqueness grids.
 
-    Reads :func:`score_windows` grids: ``grids[1]`` is the frame level and
-    ``grids[config.window]`` the video level.  Aggregates the video level
-    per frame, softmax-allocates per-frame budgets around the preset ratio
-    (uniform adjustment keeps it everywhere instead), combines both grids
-    and ranks them in one call.  Returns ``(keep, allocation, report)``.
+    Aggregates the video level ``grids[config.window]`` per frame and
+    softmax-allocates budgets around the preset ratio (uniform adjustment
+    keeps it everywhere instead).  Returns ``(allocation, u_t, sigma)``.
     """
-    u_frame, u_video = grids[1], grids[config.window]
+    u_video = grids[config.window]
     frames, tokens = u_video.shape
     u_t = frame_uniqueness(u_video, config.frame_aggregation)
     sigma = softmax_weights(u_t, config.temperature, config.epsilon)
@@ -142,7 +163,20 @@ def select_mask(config: RetentionConfig, grids: dict
         allocation = allocate(sigma, config.ratio, tokens, config.min_tokens_per_frame)
     else:
         allocation = allocate_uniform(frames, config.ratio, tokens, config.min_tokens_per_frame)
+    return allocation, u_t, sigma
 
+
+def select_mask(config: RetentionConfig, grids: dict
+                ) -> tuple[np.ndarray, BudgetAllocation, ScoreReport]:
+    """Budgets and the (T, M) keep mask from precomputed uniqueness grids.
+
+    Reads :func:`score_windows` grids: ``grids[1]`` is the frame level and
+    ``grids[config.window]`` the video level.  Takes the budgets from
+    :func:`select_budgets`, combines both grids and ranks them in one call.
+    Returns ``(keep, allocation, report)``.
+    """
+    u_frame, u_video = grids[1], grids[config.window]
+    allocation, u_t, sigma = select_budgets(config, grids)
     combined = combine_scores(u_frame, u_video, config.score_mode,
                               config.alpha, config.beta)
     keep = topk_select(combined, allocation.per_frame_count)
@@ -161,6 +195,9 @@ def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
     """
     if config is None:
         config = RetentionConfig()
-    grids = score_windows(tensor, [1, config.window], threads)
+    # One C-ordered float32 copy (none for C-ordered input) serves both the
+    # scoring pass and the gather of the kept rows.
+    values = np.ascontiguousarray(tensor.values, dtype=np.float32)
+    grids = score_windows(TokenTensor(values), [1, config.window], threads)
     keep, allocation, report = select_mask(config, grids)
-    return CompressResult(CompressedSelection.from_mask(tensor.values, keep), allocation, report)
+    return CompressResult(CompressedSelection.from_mask(values, keep), allocation, report)

@@ -25,7 +25,8 @@ from .errors import (
 )
 
 
-# Elements per finiteness block in ``validate``; a block never splits a frame.
+# Elements per finiteness block in ``validate``; a block never splits an
+# outer-axis slice.
 _FINITE_BLOCK = 1 << 16
 
 
@@ -105,14 +106,23 @@ def validate(tensor: TokenTensor) -> None:
         raise DimensionMismatchError(f"expected float32 data, got {values.dtype}")
     if min(values.shape) < 1:
         raise DimensionMismatchError(f"every axis must be >= 1, got shape {values.shape}")
-    # A block of whole frames at a time, so the mask stays about one frame's
-    # size rather than the whole tensor's.
-    frame_size = values.shape[1] * values.shape[2]
-    step = max(1, _FINITE_BLOCK // frame_size)
+    # Scan in memory order, so a Fortran-ordered or strided tensor is read
+    # sequentially too; only a failure pays for the C-order search that
+    # names the first offending flat index.
+    by_stride = np.argsort([-abs(s) for s in values.strides], kind="stable")
+    if not all(block.all() for _, block in _finite_blocks(values.transpose(by_stride))):
+        for start, finite in _finite_blocks(values):
+            if not finite.all():
+                raise NonFiniteError(start + int(np.argmin(finite.reshape(-1))))
+
+
+def _finite_blocks(values: np.ndarray):
+    """``(flat start, isfinite mask)`` per block of whole outer-axis slices,
+    so each mask stays about one slice's size rather than the whole tensor's."""
+    slice_size = values.shape[1] * values.shape[2]
+    step = max(1, _FINITE_BLOCK // slice_size)
     for t in range(0, values.shape[0], step):
-        finite = np.isfinite(values[t : t + step])
-        if not finite.all():
-            raise NonFiniteError(t * frame_size + int(np.argmin(finite.reshape(-1))))
+        yield t * slice_size, np.isfinite(values[t : t + step])
 
 
 def cosine(a, b) -> float:

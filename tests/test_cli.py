@@ -365,10 +365,12 @@ class TestAblate:
         assert {c[3] for c in cells} == {"global", "2"}
 
     def test_each_grid_ranked_once_per_selection(self, capsys, tmp_path, monkeypatch):
-        # 60 cells plus the base compress; the base mask reuses that ranking.
+        # One ranking per distinct (score mode, window) grid plus the base
+        # compress; the base mask reuses that ranking.
         src = gen(capsys, tmp_path, frames=4, tokens=6, dim=4)
         code, before, err = run(capsys, "ablate", "-i", str(src))
         assert code == 0, err
+        windows = {line.split(",")[3] for line in before.splitlines()[1:]}
         calls = []
 
         def spy(real):
@@ -376,11 +378,12 @@ class TestAblate:
 
         # vtcomp.compress is the function; cli may hold a name of its own
         for module in (sys.modules["vtcomp.compress"], vtcomp.cli):
-            if hasattr(module, "topk_select"):
-                monkeypatch.setattr(module, "topk_select", spy(module.topk_select))
+            if hasattr(module, "token_ranks"):
+                monkeypatch.setattr(module, "token_ranks", spy(module.token_ranks))
         code, after, err = run(capsys, "ablate", "-i", str(src))
         assert code == 0, err
-        assert len(calls) == 61
+        assert len(windows) == 3
+        assert len(calls) == len(ScoreMode) * len(windows) + 1 == 16
         assert after == before
 
     def test_out_of_range_window_scores_nothing(self, capsys, tmp_path, pools_scored):

@@ -116,6 +116,33 @@ class TestTokenTensor:
                 flat[last] = flat[last + 1] = 0.0
         validate(TokenTensor(values))
 
+    def test_layout_never_changes_the_reported_index(self, rng):
+        # validate scans in memory order; a Fortran-ordered or strided copy
+        # must still name the first fault in C order, also when a later C
+        # index comes first in memory.
+        shape = (6, 70, 300)
+        size = int(np.prod(shape))
+        frame_size = shape[1] * shape[2]
+        faults = [(0,), (size - 1,), (frame_size - 1, frame_size), (size - 2, 1),
+                  (299, 300 * 70 * 3 + 1)] + [tuple(rng.integers(0, size, 3)) for _ in range(4)]
+
+        def layouts(values):
+            wide = np.zeros(shape[:2] + (2 * shape[2],), dtype=np.float32)
+            wide[:, :, 1::2] = values
+            return [values, np.asfortranarray(values), wide[:, :, 1::2]]
+
+        clean = rng.standard_normal(shape).astype(np.float32)
+        for values in layouts(clean):
+            validate(TokenTensor(values))
+        for fault in faults:
+            flat = clean.reshape(-1).copy()
+            for bad, idx in zip((np.inf, np.nan, -np.inf), fault):
+                flat[idx] = bad
+            for values in layouts(flat.reshape(shape)):
+                with pytest.raises(NonFiniteError) as err:
+                    validate(TokenTensor(values))
+                assert err.value.flat_index == min(fault)
+
 
 class TestCosine:
     def test_identical_direction(self):

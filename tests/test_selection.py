@@ -4,7 +4,8 @@ The reference ranks each frame with the 1-D ``topk_select`` and gathers
 ``values[t, idx]`` one frame at a time; the random reference walks one
 PCG64 stream, one permutation per frame.  Every policy must match it byte
 for byte, and every array a selection hands out must be read-only.  The
-grid form of ``topk_select`` must agree row by row with the 1-D form, and
+grid form of ``topk_select``, and one ``token_ranks`` ranking cut by
+``keep_top`` at any count vector, must agree row by row with the 1-D form;
 each selection must rank its grid once.
 """
 
@@ -20,8 +21,10 @@ from hypothesis import strategies as st
 import vtcomp.cli
 from vtcomp import (
     Adjustment,
+    Aggregation,
     KExceedsMError,
     RetentionConfig,
+    ScoreMode,
     ShapeMismatchError,
     TokenTensor,
     compress,
@@ -136,6 +139,33 @@ class TestGridTopk:
             ranked = sorted(range(grid.shape[1]), key=lambda i: (-grid[t, i], i))
             assert picked == sorted(ranked[:k])
 
+    @settings(max_examples=300, deadline=None)
+    @given(grids(), st.data())
+    def test_one_ranking_serves_every_count_vector(self, case, data):
+        grid, counts = case
+        frames, tokens = grid.shape
+        ranks = COMPRESS_MODULE.token_ranks(grid)
+        again = np.array(data.draw(st.lists(st.integers(0, tokens),
+                                            min_size=frames, max_size=frames)))
+        for k in (counts, again):
+            keep = COMPRESS_MODULE.keep_top(ranks, k)
+            assert keep.dtype == bool and keep.shape == grid.shape
+            for t in range(frames):
+                picked = np.flatnonzero(keep[t]).tolist()
+                assert picked == topk_select(grid[t], int(k[t])).tolist()
+                # topk_select is built on keep_top, so check a sort as well
+                ranked = sorted(range(tokens), key=lambda i: (-grid[t, i], i))
+                assert picked == sorted(ranked[:k[t]])
+
+        bad = counts.copy()
+        bad[data.draw(st.integers(0, frames - 1))] = data.draw(
+            st.one_of(st.integers(-tokens - 2, -1), st.integers(tokens + 1, 2 * tokens + 2)))
+        with pytest.raises(KExceedsMError):
+            COMPRESS_MODULE.keep_top(ranks, bad)
+        for wrong in (counts[:-1], np.append(counts, 0), counts[None, :]):
+            with pytest.raises(ShapeMismatchError):
+                COMPRESS_MODULE.keep_top(ranks, wrong)
+
     def test_signed_zero_ties_go_to_the_lower_index(self):
         keep = topk_select([[-0.0, 1.0, 0.0], [0.0, 0.0, -0.0]], [2, 1])
         assert keep.tolist() == [[True, True, False], [True, False, False]]
@@ -158,22 +188,28 @@ class TestOneRankingPerSelection:
     @pytest.fixture
     def calls(self, monkeypatch):
         made = []
-        real = COMPRESS_MODULE.topk_select
-        monkeypatch.setattr(COMPRESS_MODULE, "topk_select",
-                            lambda *args: made.append(args) or real(*args))
+        real = COMPRESS_MODULE.token_ranks
+
+        def spy(*args):
+            made.append(args)
+            return real(*args)
+
+        # topk_select looks the name up in its module; cli holds its own
+        for module in (COMPRESS_MODULE, vtcomp.cli):
+            monkeypatch.setattr(module, "token_ranks", spy)
         return made
 
     def test_compress_ranks_once(self, calls):
         compress(_tensor(4), RetentionConfig(ratio=0.5))
         assert len(calls) == 1
 
-    def test_ablate_ranks_once_per_cell(self, calls, monkeypatch, capsys, tmp_path):
-        monkeypatch.setattr(vtcomp.cli, "topk_select", COMPRESS_MODULE.topk_select,
-                            raising=False)
+    def test_ablate_ranks_each_distinct_grid_once(self, calls, capsys, tmp_path):
         path = tmp_path / "v.vtok"
         write_vtok(_tensor(4), path)
         assert vtcomp.cli.main(["ablate", "-i", str(path)]) == 0
-        cells = len(capsys.readouterr().out.strip().splitlines()) - 1
-        # one per cell and one in the base compress, whose kept indices
-        # are the base mask
-        assert len(calls) == cells + 1
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        windows = {row.split(",")[3] for row in rows}
+        # one per (score mode, window) grid and one in the base compress,
+        # whose kept indices are the base mask
+        assert len(rows) == len(ScoreMode) * len(Aggregation) * len(Adjustment) * len(windows)
+        assert len(calls) == len(ScoreMode) * len(windows) + 1
