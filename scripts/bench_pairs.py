@@ -1,0 +1,190 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of one vtbench workload, with the pairs verdict.
+
+Usage, with both commits checked out side by side:
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload ablate-sweep --seed 0 --pairs 10 --seconds 30 \\
+        --out BENCH.json --section ablate-sweep --claim op_ms.p50 \\
+        --previous BENCH_13.json
+
+Each pair runs ``python3 <checkout>/vtbench/run.py --workload W --seed S
+--seconds T --trace X`` once per checkout, one run at a time; even pairs
+run the parent first, odd pairs the change first.  For every metric a run
+prints, the section records each side's median, quartiles (inclusive
+method) and range, and in how many pairs the change was better (the
+direction comes from the change's BENCHMARK.json).
+
+For each end-to-end metric it prints the pairs rule: a gain holds when the
+change is better in at least 9 of every 10 pairs and its median beats the
+parent's by more than the parent's interquartile range.  It also flags a
+median that is worse than the parent's by more than the metric's bound.
+``--previous`` prints the same section's medians from an earlier file
+beside this run's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, args) -> dict:
+    """One vtbench run; returns the JSON object on its last stdout line."""
+    cmd = [sys.executable, str(checkout / "vtbench" / "run.py"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--trace", str(args.trace)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=4 * args.seconds + 900)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "min": round(min(values), 4), "max": round(max(values), 4)}
+
+
+def directions(checkout: Path) -> tuple[dict, dict]:
+    """Each declared metric's better direction, and the end-to-end bounds."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    metrics = spec["end_to_end"] + spec.get("per_layer", [])
+    return ({m["name"]: m["better"] for m in metrics},
+            {m["name"]: m["bound"] for m in spec["end_to_end"]})
+
+
+def better(value: float, than: float, direction: str) -> bool:
+    return value < than if direction == "lower" else value > than
+
+
+def verdict(name: str, stats: dict, direction: str, bound: float | None, pairs: int) -> str:
+    parent, change = stats["parent"], stats["change"]
+    gap = parent["median"] - change["median"]
+    if direction == "higher":
+        gap = -gap
+    spread = parent["q3"] - parent["q1"]
+    wins = stats["change_better_pairs"]
+    rel = (change["median"] / parent["median"] - 1) * 100 if parent["median"] else 0.0
+    holds = wins >= math.ceil(0.9 * pairs) and gap > spread
+    text = (f"{name}: parent {parent['median']:.6g} [{parent['q1']:.6g}-{parent['q3']:.6g}]"
+            f" -> change {change['median']:.6g} [{change['q1']:.6g}-{change['q3']:.6g}]"
+            f" ({rel:+.1f}%), change better in {wins}/{pairs} pairs,"
+            f" gain {gap:.6g} vs parent spread {spread:.6g}:"
+            f" gain {'holds' if holds else 'not shown'}")
+    if bound is not None and -gap > bound * abs(parent["median"]):
+        text += f"; WORSE BY MORE THAN THE {bound:.0%} BOUND"
+    return text
+
+
+def previous_median(section: dict, side: str, name: str):
+    if "metrics" in section:
+        return section["metrics"].get(name, {}).get(side, {}).get("median")
+    return section.get(side, {}).get(name)  # a traced section: one value per side
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    parser.add_argument("--change", type=Path, required=True, help="change checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, help="JSON file to add the section to")
+    parser.add_argument("--section", help="section name (default: the workload)")
+    parser.add_argument("--note", default="", help="note stored with the section")
+    parser.add_argument("--claim", help="end-to-end metric this section claims a gain on")
+    parser.add_argument("--previous", type=Path, help="earlier JSON file to compare with")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    section_name = args.section or args.workload
+    better_of, bounds = directions(checkouts["change"])
+
+    runs, names = [], []
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for position, side in enumerate(order):
+            result = run_once(checkouts[side], args)
+            values = {name: m["value"] for name, m in result["metrics"].items()}
+            names = names or list(values)
+            runs.append({"pair": pair, "side": side, "ran_first": position == 0,
+                         "correct": result["correct"], "failed": result["failed"], **values})
+            print(f"pair {pair} {side}: correct {result['correct']}, " + ", ".join(
+                f"{n} {values[n]:.6g}" for n in bounds if n in values), flush=True)
+
+    metrics = {}
+    for name in names:
+        side_values = {s: [r[name] for r in runs if r["side"] == s] for s in SIDES}
+        stats = {s: summary(v) for s, v in side_values.items()}
+        if name in better_of:
+            stats["change_better_pairs"] = sum(
+                better(c, p, better_of[name])
+                for p, c in zip(side_values["parent"], side_values["change"]))
+        metrics[name] = stats
+
+    print(f"\n{section_name}: {args.workload}, seed {args.seed}, {args.seconds:g} s, "
+          f"trace {args.trace}, {args.pairs} pairs, "
+          f"all correct: {all(r['correct'] for r in runs)}")
+    for name in bounds:
+        if name in metrics:
+            line = verdict(name, metrics[name], better_of[name], bounds[name], args.pairs)
+            print(("CLAIM " if name == args.claim else "") + line)
+
+    if args.previous:
+        old = json.loads(args.previous.read_text())
+        prior = old.get(section_name) or old.get(args.workload)
+        print(f"\nagainst {args.previous} [{section_name if section_name in old else args.workload}]:")
+        for name in metrics:
+            if prior is None:
+                print("  no such section")
+                break
+            was = [previous_median(prior, s, name) for s in SIDES]
+            if None in was:
+                continue
+            now = [metrics[name][s]["median"] for s in SIDES]
+            delta = (now[1] / was[1] - 1) * 100 if was[1] else 0.0
+            print(f"  {name}: then {was[0]:.6g} -> {was[1]:.6g}, now {now[0]:.6g} -> "
+                  f"{now[1]:.6g} (change side {delta:+.1f}%)")
+
+    if args.out:
+        record = json.loads(args.out.read_text()) if args.out.exists() else {
+            "command": "python3 vtbench/run.py --workload <name> --seed <seed> "
+                       "--trace <0|1> --seconds <seconds>",
+            "method": "parent and change checked out side by side; alternating pairs "
+                      "(even pairs run the parent first, odd pairs the change first); "
+                      "medians and inclusive quartiles over the runs of each side",
+            "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                        "platform": platform.platform()},
+        }
+        section = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+                   "trace": args.trace, "pairs": args.pairs,
+                   "all_correct": all(r["correct"] for r in runs), "metrics": metrics,
+                   "runs": runs}
+        if args.note:
+            section = {"note": args.note, **section}
+        if args.claim:
+            section["claim"] = verdict(args.claim, metrics[args.claim], better_of[args.claim],
+                                       bounds.get(args.claim), args.pairs)
+        record[section_name] = section
+        args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,7 @@ from .compress import (
     CompressResult,
     combine_scores,
     compress,
-    keep_top,
+    grid_key,
     score_windows,
     select_budgets,
     token_ranks,
@@ -268,10 +268,9 @@ def _write_together(writes) -> None:
         raise
 
 
-def _jaccard(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
-    inter = int(np.count_nonzero(mask_a & mask_b))
-    union = int(np.count_nonzero(mask_a | mask_b))
-    return inter / union if union else 1.0
+def _budget_key(agg: Aggregation, adj: Adjustment, window):
+    """Uniform budgets ignore the aggregation and the window."""
+    return (agg, window) if adj is Adjustment.ADAPTIVE else adj
 
 
 def _default_windows(frames: int, base_window) -> list:
@@ -306,30 +305,48 @@ def _cmd_ablate(args) -> None:
         grids.update(score_windows(tensor, missing, threads=args.threads))
 
     # Aggregation and adjustment change only the counts and the score mode
-    # only the ranking, so each distinct budget and ranking is built once.
-    budgets = {(agg, adj, window): select_budgets(
-                   replace(base, window=window, adjustment=adj, frame_aggregation=agg),
-                   grids)[0]
-               for agg in Aggregation for adj in Adjustment for window in windows}
-
-    header = "score_mode,aggregation,adjustment,window,total_kept,budget_spread,jaccard_vs_default"
-    rows = []
+    # only the ranking, so each distinct budget and grid is built once.
+    budgets = {}
+    shared = {}  # grid key -> the budget keys of the cells that rank that grid
+    cells = []
     for mode in ScoreMode:
-        ranks = {window: token_ranks(combine_scores(grids[1], grids[window], mode,
-                                                    base.alpha, base.beta))
-                 for window in windows}
         for agg in Aggregation:
             for adj in Adjustment:
                 for window in windows:
-                    allocation = budgets[agg, adj, window]
-                    counts = allocation.per_frame_count
-                    mask = keep_top(ranks[window], counts)
-                    rows.append(
-                        f"{mode.value},{agg.value},{adj.value},{window},"
-                        f"{allocation.total_kept},"
-                        f"{int(counts.max() - counts.min())},"
-                        f"{_jaccard(mask, base_mask):.6g}"
-                    )
+                    grid, budget = grid_key(mode, window), _budget_key(agg, adj, window)
+                    if budget not in budgets:
+                        budgets[budget] = select_budgets(
+                            replace(base, window=window, adjustment=adj, frame_aggregation=agg),
+                            grids)[0]
+                    shared.setdefault(grid, {})[budget] = None
+                    cells.append((mode, agg, adj, window, grid, budget))
+
+    # One broadcast cuts a ranking at all its count vectors.  A mask keeps
+    # exactly its counts, so its union with the base is both sizes less
+    # their overlap, and one count_nonzero gives every overlap.
+    base_kept = int(np.count_nonzero(base_mask))
+    jaccard = {}
+    for grid, keys in shared.items():
+        mode, window = grid
+        ranks = token_ranks(combine_scores(grids[1], grids[window], mode,
+                                           base.alpha, base.beta))
+        counts = np.stack([budgets[key].per_frame_count for key in keys])
+        overlap = np.count_nonzero((ranks[None] < counts[:, :, None]) & base_mask, axis=(1, 2))
+        for key, kept, inter in zip(keys, counts.sum(axis=1).tolist(), overlap.tolist()):
+            union = kept + base_kept - inter
+            jaccard[grid, key] = inter / union if union else 1.0
+
+    header = "score_mode,aggregation,adjustment,window,total_kept,budget_spread,jaccard_vs_default"
+    rows = []
+    for mode, agg, adj, window, grid, budget in cells:
+        allocation = budgets[budget]
+        counts = allocation.per_frame_count
+        rows.append(
+            f"{mode.value},{agg.value},{adj.value},{window},"
+            f"{allocation.total_kept},"
+            f"{int(counts.max() - counts.min())},"
+            f"{jaccard[grid, budget]:.6g}"
+        )
     text = "\n".join([header] + rows) + "\n"
     if args.output:
         _write_together([(args.output, lambda path: Path(path).write_bytes(text.encode()))])
@@ -381,10 +398,15 @@ def _peak_rss_kb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+_parser = None  # built on the first call, then shared: parsing leaves it unchanged
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         args.func(args)
         return 0
     except SystemExit as exc:  # argparse --help

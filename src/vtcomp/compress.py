@@ -8,7 +8,7 @@ Ranking and counting are separate steps: ``token_ranks`` ranks a grid once
 and ``keep_top`` cuts that ranking at any count vector, so a caller that
 varies budgets and score modes over a few windows can call
 ``score_windows`` once, ``select_budgets`` once per distinct budget and
-``token_ranks`` once per distinct combined grid.
+``token_ranks`` once per distinct combined grid, as ``grid_key`` names it.
 """
 
 from __future__ import annotations
@@ -78,16 +78,38 @@ def combine_scores(u_frame, u_video, mode: ScoreMode = ScoreMode.COMBINED,
     return -uv
 
 
+def grid_key(mode: ScoreMode, window) -> tuple:
+    """The (mode, window) whose combined grid equals this one's, bit for bit.
+
+    Of the grids ``combine_scores(grids[1], grids[window], mode)`` gives,
+    ``frame_only`` and ``positive_frame`` read only the frame level, which
+    is the video level at window 1, so they are the ``video_only`` and
+    ``positive_video`` grids at window 1 whatever the window.
+    """
+    if mode is ScoreMode.FRAME_ONLY:
+        return ScoreMode.VIDEO_ONLY, 1
+    if mode is ScoreMode.POSITIVE_FRAME:
+        return ScoreMode.POSITIVE_VIDEO, 1
+    return mode, window
+
+
 def token_ranks(grid) -> np.ndarray:
     """Each token's position in its row's stable descending order: (T, M).
 
     Rank 0 is the row's largest score; equal scores rank by lower index
-    first, and -0.0 ties with 0.0.  One ``argsort`` and one scatter.
+    first, and -0.0 ties with 0.0.  A row without ties has one descending
+    order, which numpy's default (unstable, vectorised) sort finds faster
+    than the stable one; only the rows where it leaves two neighbours
+    unordered (a tie, or a NaN) are sorted again stably.  Then one scatter.
     """
-    grid = np.asarray(grid, dtype=np.float64)
-    order = np.argsort(-grid, axis=1, kind="stable")
+    keys = -np.asarray(grid, dtype=np.float64)
+    order = np.argsort(keys, axis=1)
+    ordered = np.take_along_axis(keys, order, axis=1)
+    tied = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(grid.shape[1]), axis=1)
+    np.put_along_axis(ranks, order, np.arange(keys.shape[1]), axis=1)
     return ranks
 
 

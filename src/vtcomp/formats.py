@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     BadVersionError,
+    DimensionMismatchError,
     OversizedPayloadError,
     ShapeMismatchError,
     TruncatedPayloadError,
@@ -40,6 +41,7 @@ from .model import BudgetAllocation, ScoreReport, TokenTensor
 MAGIC = b"VTK1"
 VERSION = 1
 HEADER = struct.Struct("<4sHIII")
+MAX_AXIS = 2**32 - 1  # T, M and D' are uint32 header fields
 
 
 def write_vtok(tensor: TokenTensor, path) -> None:
@@ -47,8 +49,12 @@ def write_vtok(tensor: TokenTensor, path) -> None:
 
     The payload is the tensor's flat float32 buffer, written straight from
     memory; only a tensor that is not C-contiguous little-endian float32 is
-    first copied into that layout.
+    first copied into that layout.  Raises ``DimensionMismatchError``,
+    before the file is opened, for an axis the header cannot hold.
     """
+    if max(tensor.values.shape) > MAX_AXIS:
+        raise DimensionMismatchError(
+            f"shape {tensor.values.shape} has an axis above the .vtok limit {MAX_AXIS}")
     header = HEADER.pack(MAGIC, VERSION, tensor.frames,
                          tensor.tokens_per_frame, tensor.dim)
     payload = np.ascontiguousarray(tensor.flat, dtype="<f4")

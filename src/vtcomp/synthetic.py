@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .formats import MAX_AXIS
 from .model import TokenTensor, _freeze, int_at_least, validate
 
 MODELS = ("iid", "clustered", "outlier")
@@ -45,6 +46,9 @@ class SyntheticSpec:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if min(self.frames, self.tokens_per_frame, self.dim) < 1:
             raise ConfigError("frames, tokens_per_frame, and dim must all be >= 1")
+        if max(self.frames, self.tokens_per_frame, self.dim) > MAX_AXIS:
+            raise ConfigError(
+                f"frames, tokens_per_frame, and dim must all be <= {MAX_AXIS}, the .vtok limit")
         if self.frames * self.tokens_per_frame * self.dim * 4 > sys.maxsize:
             raise ConfigError(f"frames x tokens_per_frame x dim float32 exceeds {sys.maxsize} B")
         if not 0.0 <= self.noise_sigma < math.inf:

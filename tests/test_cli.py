@@ -365,12 +365,23 @@ class TestAblate:
         assert {c[3] for c in cells} == {"global", "2"}
 
     def test_each_grid_ranked_once_per_selection(self, capsys, tmp_path, monkeypatch):
-        # One ranking per distinct (score mode, window) grid plus the base
-        # compress; the base mask reuses that ranking.
-        src = gen(capsys, tmp_path, frames=4, tokens=6, dim=4)
-        code, before, err = run(capsys, "ablate", "-i", str(src))
-        assert code == 0, err
-        windows = {line.split(",")[3] for line in before.splitlines()[1:]}
+        # One ranking per distinct grid plus the base compress, whose kept
+        # indices are the base mask.  combined, video_only and
+        # positive_video rank one grid per window; frame_only and
+        # positive_frame one grid each, the video modes' grids at window 1.
+        # The 8-frame default sweep has the windows of the 128-frame
+        # benchmark input (global, T/2, T/4).
+        srcs = {frames: gen(capsys, tmp_path, name=f"v{frames}.vtok", frames=frames,
+                            tokens=6, dim=4) for frames in (4, 8)}
+        cases = [(4, [], {"global", "2", "1"}, 10),
+                 (4, ["--windows", "global,1,2,3"], {"global", "1", "2", "3"}, 13),
+                 (8, [], {"global", "4", "2"}, 12)]
+        before = []
+        for frames, flags, windows, _ in cases:
+            code, out, err = run(capsys, "ablate", "-i", str(srcs[frames]), *flags)
+            assert code == 0, err
+            assert {line.split(",")[3] for line in out.splitlines()[1:]} == windows
+            before.append(out)
         calls = []
 
         def spy(real):
@@ -380,11 +391,13 @@ class TestAblate:
         for module in (sys.modules["vtcomp.compress"], vtcomp.cli):
             if hasattr(module, "token_ranks"):
                 monkeypatch.setattr(module, "token_ranks", spy(module.token_ranks))
-        code, after, err = run(capsys, "ablate", "-i", str(src))
-        assert code == 0, err
-        assert len(windows) == 3
-        assert len(calls) == len(ScoreMode) * len(windows) + 1 == 16
-        assert after == before
+        for (frames, flags, windows, rankings), out in zip(cases, before):
+            calls.clear()
+            code, after, err = run(capsys, "ablate", "-i", str(srcs[frames]), *flags)
+            assert code == 0, err
+            distinct = 3 * len(windows) + 2 - 2 * ("1" in windows)
+            assert len(calls) == distinct + 1 == rankings
+            assert after == out
 
     def test_out_of_range_window_scores_nothing(self, capsys, tmp_path, pools_scored):
         src = gen(capsys, tmp_path, frames=4, tokens=6, dim=4)
@@ -610,6 +623,15 @@ class TestFlagsCheckedFirst:
         assert err.startswith("error: flag:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("shape", [[str(2**32), "1", "1"], ["1", "1", str(2**32)]])
+    def test_gen_axis_past_the_vtok_header(self, capsys, tmp_path, generated, shape):
+        frames, tokens, dim = shape
+        code, out, err = run(capsys, "gen", "--frames", frames, "--tokens", tokens,
+                             "--dim", dim, "-o", str(tmp_path / "x.vtok"))
+        assert (code, out, generated) == (2, "", [])
+        assert err.startswith("error: flag:") and "4294967295" in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [["--ratio", "2"], ["--iters", "0"], ["--tau", "nan"]])
     def test_bench_flags_before_generating(self, capsys, generated, flags):
         code, out, err = run(capsys, "bench", "--frames", "2", "--tokens", "3", "--dim", "2",
@@ -646,3 +668,78 @@ def test_readme_cli_block_runs(capsys, monkeypatch, tmp_path):
     for argv in commands:
         code, _, err = run(capsys, *argv[1:])
         assert code == 0, f"{shlex.join(argv)}: {err}"
+
+
+class TestParserPerProcess:
+    """``main`` builds its parser once and reuses it: no call may see
+    anything a previous call parsed."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        made = []
+        real = vtcomp.cli.build_parser
+        monkeypatch.setattr(vtcomp.cli, "build_parser", lambda: made.append(1) or real())
+        monkeypatch.setattr(vtcomp.cli, "_parser", None)
+        return made
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        seen = []
+        real = Policy.run
+        monkeypatch.setattr(Policy, "run",
+                            lambda self, tensor, threads=1: seen.append(threads)
+                            or real(self, tensor, threads=threads))
+        return seen
+
+    def _outputs(self, capsys, call, threads):
+        argv, files, cpus = call
+        threads.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            if cpus is not None:
+                patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                              raising=False)
+            code, out, err = run(capsys, *argv)
+        return code, out, err, [Path(f).read_bytes() for f in files], list(threads)
+
+    def _same_as_alone(self, capsys, monkeypatch, builds, threads, calls):
+        together = [self._outputs(capsys, call, threads) for call in calls]
+        assert len(builds) == 1
+        for call, shared in zip(calls, together):
+            monkeypatch.setattr(vtcomp.cli, "_parser", None)
+            assert self._outputs(capsys, call, threads) == shared
+        assert len(builds) == 1 + len(calls)
+        return together
+
+    def test_ablate_windows_then_default(self, capsys, tmp_path, monkeypatch, builds,
+                                         threads):
+        src = gen(capsys, tmp_path, frames=8, tokens=6, dim=4)
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        together = self._same_as_alone(capsys, monkeypatch, builds, threads, [
+            (["ablate", "-i", str(src), "-o", str(first), "--windows", "2"], [first], None),
+            (["ablate", "-i", str(src), "-o", str(second)], [second], None),
+        ])
+        assert {row.split(",")[3] for row in together[1][1].splitlines()[2:]} == \
+            {"global", "4", "2"}
+
+    def test_random_policy_then_default_compress(self, capsys, tmp_path, monkeypatch, builds,
+                                                 threads):
+        src = gen(capsys, tmp_path)
+        calls = []
+        for name, extra in (("r", ["--policy", "random", "--seed", "3"]), ("d", [])):
+            out = tmp_path / f"{name}.vtok"
+            calls.append((["compress", "-i", str(src), "-o", str(out), *extra],
+                          [out, f"{out}.indices.csv"], None))
+        together = self._same_as_alone(capsys, monkeypatch, builds, threads, calls)
+        assert together[0][1].startswith("random(") and together[1][1].startswith("vidcom2(")
+
+    def test_auto_threads_read_at_each_call(self, capsys, tmp_path, monkeypatch, builds,
+                                            threads):
+        src = gen(capsys, tmp_path)
+        calls = []
+        for name, extra, cpus in (("a3", ["--threads", "auto"], 3),
+                                  ("a2", ["--threads", "auto"], 2), ("d", [], 3)):
+            out = tmp_path / f"{name}.vtok"
+            calls.append((["compress", "-i", str(src), "-o", str(out), *extra],
+                          [out, f"{out}.indices.csv"], cpus))
+        together = self._same_as_alone(capsys, monkeypatch, builds, threads, calls)
+        assert [outputs[4] for outputs in together] == [[3], [2], [1]]

@@ -106,6 +106,16 @@ class TestCombineScores:
         with pytest.raises(ShapeMismatchError):
             combine_scores(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("mode", list(ScoreMode))
+    def test_grid_key_names_a_bit_identical_grid(self, mode):
+        module = sys.modules["vtcomp.compress"]
+        grids = module.score_windows(CASE, [1, 2, "global"])
+        for window in grids:
+            key_mode, key_window = module.grid_key(mode, window)
+            got = combine_scores(grids[1], grids[key_window], key_mode, 0.5, 2.0)
+            want = combine_scores(grids[1], grids[window], mode, 0.5, 2.0)
+            assert got.tobytes() == want.tobytes()
+
     def test_constant_scores_fall_to_tie_break(self):
         values = np.tile(np.array([1.0, 1.0], dtype=np.float32), (1, 6, 1))
         t = TokenTensor.from_array(values)

@@ -175,6 +175,17 @@ class TestVtokErrors:
             read_vtok(path)
 
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_axis_past_the_header_writes_nothing(self, tmp_path, axis):
+        # A zero-stride view: 2**32 elements along one axis, one float stored.
+        shape = [1, 1, 1]
+        shape[axis] = 2**32
+        values = np.lib.stride_tricks.as_strided(np.zeros(1, dtype=np.float32),
+                                                 shape=tuple(shape), strides=(0, 0, 0))
+        with pytest.raises(DimensionMismatchError, match="limit 4294967295"):
+            write_vtok(TokenTensor(values), tmp_path / "big.vtok")
+        assert list(tmp_path.iterdir()) == []
+
 class TestScoreExport:
     def _result(self, rng, frames=2, tokens=3):
         values = rng.standard_normal((frames, tokens, 2)).astype(np.float32)

@@ -125,6 +125,15 @@ def grids(draw):
     return np.array(rows, dtype=np.float64), np.array(counts, dtype=np.int64)
 
 
+
+@st.composite
+def distinct_grids(draw):
+    """Grids with no tie in any row (-0.0 and 0.0 count as equal)."""
+    frames, tokens = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    row = st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=tokens, max_size=tokens,
+                   unique=True)
+    return np.array(draw(st.lists(row, min_size=frames, max_size=frames)), dtype=np.float64)
+
 class TestGridTopk:
     @settings(max_examples=300, deadline=None)
     @given(grids())
@@ -166,6 +175,15 @@ class TestGridTopk:
             with pytest.raises(ShapeMismatchError):
                 COMPRESS_MODULE.keep_top(ranks, wrong)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(grids().map(lambda case: case[0]), distinct_grids()))
+    def test_ranks_are_the_stable_descending_order(self, grid):
+        # Rows without ties take the unstable sort, tied rows the stable one.
+        ranks = COMPRESS_MODULE.token_ranks(grid)
+        for t in range(grid.shape[0]):
+            ranked = sorted(range(grid.shape[1]), key=lambda i: (-grid[t, i], i))
+            assert ranks[t, ranked].tolist() == list(range(grid.shape[1]))
+
     def test_signed_zero_ties_go_to_the_lower_index(self):
         keep = topk_select([[-0.0, 1.0, 0.0], [0.0, 0.0, -0.0]], [2, 1])
         assert keep.tolist() == [[True, True, False], [True, False, False]]
@@ -206,10 +224,16 @@ class TestOneRankingPerSelection:
     def test_ablate_ranks_each_distinct_grid_once(self, calls, capsys, tmp_path):
         path = tmp_path / "v.vtok"
         write_vtok(_tensor(4), path)
-        assert vtcomp.cli.main(["ablate", "-i", str(path)]) == 0
-        rows = capsys.readouterr().out.strip().splitlines()[1:]
-        windows = {row.split(",")[3] for row in rows}
-        # one per (score mode, window) grid and one in the base compress,
-        # whose kept indices are the base mask
-        assert len(rows) == len(ScoreMode) * len(Aggregation) * len(Adjustment) * len(windows)
-        assert len(calls) == len(ScoreMode) * len(windows) + 1
+        for flags, rankings in [([], 10), (["--windows", "global,1,2,3"], 13)]:
+            calls.clear()
+            assert vtcomp.cli.main(["ablate", "-i", str(path)] + flags) == 0
+            rows = capsys.readouterr().out.strip().splitlines()[1:]
+            windows = {row.split(",")[3] for row in rows}
+            assert len(rows) == (len(ScoreMode) * len(Aggregation) * len(Adjustment)
+                                 * len(windows))
+            # combined, video_only and positive_video rank one grid per
+            # window; frame_only and positive_frame rank the video modes'
+            # window-1 grids; one more in the base compress, whose kept
+            # indices are the base mask
+            distinct = 3 * len(windows) + 2 - 2 * ("1" in windows)
+            assert len(calls) == distinct + 1 == rankings

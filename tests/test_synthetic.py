@@ -92,6 +92,18 @@ class TestSpecValidation:
             SyntheticSpec(**base)
 
 
+    @pytest.mark.parametrize("axis", ["frames", "tokens_per_frame", "dim"])
+    def test_axis_past_the_vtok_header(self, axis):
+        # The .vtok header holds each axis as uint32; no draw is made.
+        shape = dict(frames=1, tokens_per_frame=1, dim=1)
+        SyntheticSpec(**{**shape, axis: 2**32 - 1})
+        with pytest.raises(ConfigError, match=axis):
+            SyntheticSpec(**{**shape, axis: 2**32})
+
+    def test_unaddressable_shape_of_header_sized_axes(self):
+        with pytest.raises(ConfigError, match="exceeds"):
+            SyntheticSpec(frames=2**21, tokens_per_frame=2**21, dim=2**21)
+
 class TestGenerate:
     def test_same_spec_same_bits(self):
         spec = SyntheticSpec(6, 5, 8, model="clustered", num_clusters=2,
