@@ -97,19 +97,12 @@ def token_ranks(grid) -> np.ndarray:
     """Each token's position in its row's stable descending order: (T, M).
 
     Rank 0 is the row's largest score; equal scores rank by lower index
-    first, and -0.0 ties with 0.0.  A row without ties has one descending
-    order, which numpy's default (unstable, vectorised) sort finds faster
-    than the stable one; only the rows where it leaves two neighbours
-    unordered (a tie, or a NaN) are sorted again stably.  Then one scatter.
+    first, and -0.0 ties with 0.0.  One ``argsort`` and one scatter.
     """
-    keys = -np.asarray(grid, dtype=np.float64)
-    order = np.argsort(keys, axis=1)
-    ordered = np.take_along_axis(keys, order, axis=1)
-    tied = ~(ordered[:, 1:] > ordered[:, :-1]).all(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(keys[tied], axis=1, kind="stable")
+    grid = np.asarray(grid, dtype=np.float64)
+    order = np.argsort(-grid, axis=1, kind="stable")
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(keys.shape[1]), axis=1)
+    np.put_along_axis(ranks, order, np.arange(grid.shape[1]), axis=1)
     return ranks
 
 
