@@ -18,7 +18,9 @@ direction comes from the change's BENCHMARK.json).
 For each end-to-end metric it prints the pairs rule: a gain holds when the
 change is better in at least 9 of every 10 pairs and its median beats the
 parent's by more than the parent's interquartile range.  It also flags a
-median that is worse than the parent's by more than the metric's bound.
+median that is worse than the parent's by more than the metric's bound,
+and calls a metric unresolved when the parent's interquartile range is
+wider than that bound, unless every change run beats every parent run.
 ``--previous`` prints the same section's medians from an earlier file
 beside this run's.
 """
@@ -84,8 +86,16 @@ def verdict(name: str, stats: dict, direction: str, bound: float | None, pairs: 
             f" ({rel:+.1f}%), change better in {wins}/{pairs} pairs,"
             f" gain {gap:.6g} vs parent spread {spread:.6g}:"
             f" gain {'holds' if holds else 'not shown'}")
-    if bound is not None and -gap > bound * abs(parent["median"]):
+    if bound is None:
+        return text
+    if -gap > bound * abs(parent["median"]):
         text += f"; WORSE BY MORE THAN THE {bound:.0%} BOUND"
+    # A spread wider than the bound cannot show "no worse", unless the
+    # change's worst run beats the parent's best.
+    worst, best = ((change["max"], parent["min"]) if direction == "lower"
+                   else (change["min"], parent["max"]))
+    if spread > bound * abs(parent["median"]) and not better(worst, best, direction):
+        text += f"; unresolved: parent spread wider than the {bound:.0%} bound"
     return text
 
 

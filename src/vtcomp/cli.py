@@ -232,7 +232,9 @@ def _cmd_analyze(args) -> None:
 def _cmd_compress(args) -> None:
     policy = Policy(args.policy, _config_from(args), args.seed)
     tensor = read_vtok(args.input)
+    total = tensor.frames * tensor.tokens_per_frame
     selection = policy.run(tensor, threads=args.threads)
+    del tensor  # so the input and the padded block are never resident together
     padded, counts = selection.padded()
     sidecar = f"{args.output}.indices.csv"
     # The padded block holds bit copies of validated rows plus zero rows,
@@ -241,17 +243,17 @@ def _cmd_compress(args) -> None:
         (args.output, lambda path: write_vtok(TokenTensor(padded), path)),
         (sidecar, lambda path: export_indices(selection, path)),
     ])
-    print(f"{policy.descriptor}: kept {selection.total_kept} of "
-          f"{tensor.frames * tensor.tokens_per_frame} tokens "
+    print(f"{policy.descriptor}: kept {selection.total_kept} of {total} tokens "
           f"(padded width {padded.shape[1]}); indices in {sidecar}")
 
 
 def _write_together(writes) -> None:
     """Run each write(temp) beside its path, then replace all paths or none.
 
-    Every CLI output goes through here, so no output is left half-written
-    and no file is truncated in place while another process may map it.
-    On failure the temporaries and any path already replaced are removed.
+    Every CLI output goes through here, so no output is left half-written:
+    a reader of a path sees the whole old file or the whole new one, never
+    a file truncated in place.  On failure the temporaries and any path
+    already replaced are removed.
     """
     temps = [f"{path}.{os.getpid()}.tmp" for path, _ in writes]
     moved = []

@@ -11,17 +11,15 @@
 
 A valid file is exactly 18 + 4*T*M*D' bytes; round-trips are bit-exact.
 
-The payload is copied once each way.  ``read_vtok`` maps the file read-only
-and the validated copy ``TokenTensor.from_array`` makes is the only copy;
-``write_vtok`` writes the header and then the tensor's own buffer.  Because
-a reader maps its input, a file must not be truncated in place while it is
-read, or the reader faults; the CLI writes every output beside its path and
-renames it into place.
+The payload is copied once each way.  ``read_vtok`` reads it from the file
+straight into the array ``TokenTensor.from_array`` validates, with no
+mapping and no bytes object of the file; ``write_vtok`` writes the header
+and then the tensor's own buffer.  A file that ends before its declared
+payload does, even one cut short while it is read, is a truncated payload.
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import struct
 from pathlib import Path
@@ -66,14 +64,16 @@ def write_vtok(tensor: TokenTensor, path) -> None:
 def read_vtok(path) -> TokenTensor:
     """Read and fully validate a .vtok file.
 
-    Only the header is read; the payload is mapped read-only and copied
-    once, into the validated tensor, so no bytes object of the file is
-    built and the tensor does not depend on the file afterwards.
+    The header is read and checked first; the payload is then read from
+    the file straight into the tensor's own array, so it is copied once,
+    from the file into the validated tensor, and the tensor does not
+    depend on the file afterwards.
 
     Raises BadMagicError / BadVersionError for a foreign or newer file,
     TruncatedPayloadError / OversizedPayloadError when the byte count does
-    not match the header exactly, and the tensor validation errors (e.g.
-    NonFiniteError) for a structurally sound file with bad values.
+    not match the header exactly (also when the file shrinks while it is
+    read), and the tensor validation errors (e.g. NonFiniteError) for a
+    structurally sound file with bad values.
     """
     with open(path, "rb") as fh:
         head = fh.read(HEADER.size)
@@ -87,8 +87,7 @@ def read_vtok(path) -> TokenTensor:
         _, version, frames, tokens, dim = HEADER.unpack(head)
         if version != VERSION:
             raise BadVersionError(f"unsupported version {version}, expected {VERSION}")
-        count = frames * tokens * dim
-        expected = HEADER.size + 4 * count
+        expected = HEADER.size + 4 * frames * tokens * dim
         if size < expected:
             raise TruncatedPayloadError(
                 f"header declares {expected} bytes, file has only {size}"
@@ -97,12 +96,31 @@ def read_vtok(path) -> TokenTensor:
             raise OversizedPayloadError(
                 f"header declares {expected} bytes, file has {size}"
             )
-        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    # ``mapped`` is never closed explicitly: ``data`` (and, when validation
-    # fails, the traceback's frames) still view it, so close() would raise
-    # BufferError.  The last view to go unmaps it.
-    data = np.frombuffer(mapped, dtype="<f4", count=count, offset=HEADER.size)
-    return TokenTensor.from_flat(frames, tokens, dim, data)
+        return TokenTensor.from_array(_Payload(fh, (frames, tokens, dim)))
+
+
+class _Payload:
+    """The payload of an open .vtok file, read when numpy asks for it.
+
+    ``from_array`` converts it with ``copy=True``; the array ``__array__``
+    returns is new, so numpy >= 2 keeps it as the tensor's values.
+    """
+
+    def __init__(self, fh, shape):
+        self._fh, self._shape = fh, shape
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.empty(self._shape, dtype="<f4")
+        buffer = out.reshape(-1).view(np.uint8)
+        filled = 0
+        while filled < buffer.size:
+            got = self._fh.readinto(buffer[filled:])
+            if not got:
+                raise TruncatedPayloadError(
+                    f"header declares {HEADER.size + buffer.size} bytes, file ended "
+                    f"after {HEADER.size + filled}")
+            filled += got
+        return out
 
 
 def _fmt(value: float) -> str:

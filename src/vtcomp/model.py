@@ -69,7 +69,10 @@ class TokenTensor:
         """Build from any (T, M, D') array-like, casting to float32.
 
         The data is always copied so the tensor cannot alias caller memory.
-        A value past the float32 range becomes inf, which validation rejects.
+        An array-like whose ``__array__`` honours ``copy=True`` by returning
+        a new array is not copied twice on numpy >= 2: that array becomes
+        the values.  numpy 1.x copies it once more, to the same bytes.  A
+        value past the float32 range becomes inf, which validation rejects.
         """
         with np.errstate(over="ignore"):
             values = np.array(array, dtype=np.float32, order="C", copy=True)

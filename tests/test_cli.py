@@ -510,6 +510,18 @@ class TestErrorSurface:
         assert err.startswith("error: flag:") and err.count("\n") == 1
         assert out == ""
 
+    def test_file_shrunk_during_the_read_is_one_line(self, capsys, tmp_path, monkeypatch):
+        import vtcomp.formats
+
+        src = gen(capsys, tmp_path, frames=2, tokens=3, dim=4)
+        declared = src.stat()
+        src.write_bytes(src.read_bytes()[:-8])
+        monkeypatch.setattr(vtcomp.formats.os, "fstat", lambda fd: declared)
+        code, out, err = run(capsys, "compress", "-i", str(src), "-o", str(tmp_path / "c.vtok"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: truncated-payload:") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.vtok"]
+
     def test_memory_error_is_one_line(self, capsys, tmp_path, monkeypatch):
         import vtcomp.cli
 

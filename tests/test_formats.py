@@ -23,6 +23,7 @@ from vtcomp import (
     read_vtok,
     write_vtok,
 )
+from vtcomp import formats
 from vtcomp.formats import HEADER, MAGIC, VERSION
 
 
@@ -76,7 +77,7 @@ class TestVtokRoundTrip:
 
 
 class TestVtokBuffers:
-    """The reader copies out of its mapping once; the writer adds no copy."""
+    """The reader copies the file once and maps nothing; the writer adds no copy."""
 
     def test_read_is_a_frozen_copy_of_the_file(self, tmp_path, rng):
         values = rng.standard_normal((3, 4, 5)).astype(np.float32)
@@ -174,6 +175,15 @@ class TestVtokErrors:
         with pytest.raises(TruncatedPayloadError):
             read_vtok(path)
 
+    def test_file_shrunk_after_the_size_check(self, tmp_path, monkeypatch):
+        # The size check sees the declared size; the payload read meets the
+        # end of a file 8 bytes shorter, as if it were cut while read.
+        path = make_file(tmp_path / "b.vtok")
+        declared = path.stat()
+        path.write_bytes(path.read_bytes()[:-8])
+        monkeypatch.setattr(formats.os, "fstat", lambda fd: declared)
+        with pytest.raises(TruncatedPayloadError, match="file ended after 42"):
+            read_vtok(path)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_axis_past_the_header_writes_nothing(self, tmp_path, axis):

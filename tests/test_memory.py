@@ -1,0 +1,75 @@
+"""Peak memory of the .vtok read and of ``vtcomp compress``, against the payload.
+
+Each case runs in a child process, which reports how far its high-water
+RSS (``VmHWM``) rose past its resident size after the import.  The input
+is about 50 MB, large enough that the payload dominates that rise.  The
+child's ``ru_maxrss`` would not do: Linux carries the high-water mark of
+the process that started a child across its exec, so it can read the size
+of the test process instead.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import vtcomp
+from vtcomp.formats import HEADER, MAGIC, VERSION
+
+SHAPE = (32, 196, 2048)
+PAYLOAD = 4 * SHAPE[0] * SHAPE[1] * SHAPE[2]
+
+CHILD = """
+import sys
+from vtcomp import cli, formats
+
+def status_bytes(field):
+    with open("/proc/self/status") as fh:
+        return int(fh.read().split(field + ":")[1].split()[0]) * 1024
+
+before = status_bytes("VmRSS")
+if sys.argv[1] == "read":
+    formats.read_vtok(sys.argv[2])
+elif cli.main(["compress", "-i", sys.argv[2], "-o", sys.argv[3]]) != 0:
+    sys.exit("compress failed")
+print(status_bytes("VmHWM") - before)
+"""
+
+pytestmark = [
+    pytest.mark.skipif(not sys.platform.startswith("linux"),
+                       reason="reads VmRSS and VmHWM from /proc/self/status"),
+    pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                       reason="numpy 1.x copies the payload a second time"),
+]
+
+
+@pytest.fixture(scope="module")
+def wide_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("memory") / "wide.vtok"
+    rng = np.random.default_rng(0)
+    with open(path, "wb") as fh:  # frame by frame, so this process stays small
+        fh.write(HEADER.pack(MAGIC, VERSION, *SHAPE))
+        for _ in range(SHAPE[0]):
+            fh.write(rng.standard_normal(SHAPE[1:], dtype=np.float32).tobytes())
+    return path
+
+
+def growth(*argv) -> int:
+    env = dict(os.environ, PYTHONPATH=str(Path(vtcomp.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.strip().splitlines()[-1])
+
+
+def test_read_holds_one_copy_of_the_payload(wide_file):
+    assert growth("read", wide_file) <= 1.25 * PAYLOAD
+
+
+def test_compress_frees_the_input_before_padding(wide_file, tmp_path):
+    out = tmp_path / "c.vtok"
+    assert growth("compress", wide_file, out) <= 1.45 * PAYLOAD
+    assert out.stat().st_size > HEADER.size
