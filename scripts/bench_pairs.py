@@ -21,8 +21,10 @@ parent's by more than the parent's interquartile range.  It also flags a
 median that is worse than the parent's by more than the metric's bound,
 and calls a metric unresolved when the parent's interquartile range is
 wider than that bound, unless every change run beats every parent run.
-``--previous`` prints the same section's medians from an earlier file
-beside this run's.
+It prints each side's failed share, the failed operations over the
+attempted ones of all its runs, and flags the change when its share is
+higher.  ``--previous`` prints the same section's medians from an earlier
+file beside this run's.
 """
 
 from __future__ import annotations
@@ -99,6 +101,23 @@ def verdict(name: str, stats: dict, direction: str, bound: float | None, pairs: 
     return text
 
 
+def failed_shares(runs: list[dict]) -> dict:
+    """Each side's failed operations over its attempted ones, over all its runs."""
+    shares = {}
+    for s in SIDES:
+        attempted = sum(r["attempted"] for r in runs if r["side"] == s)
+        failed = sum(r["failed"] for r in runs if r["side"] == s)
+        shares[s] = failed / attempted if attempted else 0.0
+    return shares
+
+
+def failure_verdict(shares: dict) -> str:
+    text = f"failed share: parent {shares['parent']:.4g} -> change {shares['change']:.4g}"
+    if shares["change"] > shares["parent"]:
+        text += "; THE CHANGE FAILS A LARGER SHARE OF OPERATIONS"
+    return text
+
+
 def previous_median(section: dict, side: str, name: str):
     if "metrics" in section:
         return section["metrics"].get(name, {}).get(side, {}).get("median")
@@ -134,7 +153,8 @@ def main(argv=None) -> int:
             values = {name: m["value"] for name, m in result["metrics"].items()}
             names = names or list(values)
             runs.append({"pair": pair, "side": side, "ran_first": position == 0,
-                         "correct": result["correct"], "failed": result["failed"], **values})
+                         "correct": result["correct"], "attempted": result["attempted"],
+                         "failed": result["failed"], **values})
             print(f"pair {pair} {side}: correct {result['correct']}, " + ", ".join(
                 f"{n} {values[n]:.6g}" for n in bounds if n in values), flush=True)
 
@@ -151,6 +171,8 @@ def main(argv=None) -> int:
     print(f"\n{section_name}: {args.workload}, seed {args.seed}, {args.seconds:g} s, "
           f"trace {args.trace}, {args.pairs} pairs, "
           f"all correct: {all(r['correct'] for r in runs)}")
+    shares = failed_shares(runs)
+    print(failure_verdict(shares))
     for name in bounds:
         if name in metrics:
             line = verdict(name, metrics[name], better_of[name], bounds[name], args.pairs)
@@ -184,7 +206,8 @@ def main(argv=None) -> int:
         }
         section = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                    "trace": args.trace, "pairs": args.pairs,
-                   "all_correct": all(r["correct"] for r in runs), "metrics": metrics,
+                   "all_correct": all(r["correct"] for r in runs),
+                   "failed_share": shares, "metrics": metrics,
                    "runs": runs}
         if args.note:
             section = {"note": args.note, **section}

@@ -8,7 +8,6 @@ consumes attention weights, so it composes with any downstream consumer.
 """
 
 from .budget import (
-    PoolAssignment,
     allocate,
     allocate_uniform,
     frame_uniqueness,
@@ -71,7 +70,6 @@ __all__ = [
     "CompressResult",
     "CompressedSelection",
     "Policy",
-    "PoolAssignment",
     "RetentionConfig",
     "ScoreMode",
     "ScoreReport",

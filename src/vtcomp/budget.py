@@ -9,29 +9,12 @@ retention ratio at the preset value while shifting tokens between frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import accum
 from .errors import WindowOutOfRangeError
-from .model import Aggregation, BudgetAllocation, TokenTensor, _freeze
-
-
-@dataclass(frozen=True)
-class PoolAssignment:
-    """Pooled vectors plus the pool index each frame is scored against."""
-
-    vectors: np.ndarray  # (pools, D') float64
-    frame_pool_index: np.ndarray  # (T,) int64
-
-    def __post_init__(self):
-        _freeze(self.vectors)
-        _freeze(self.frame_pool_index)
-
-    def per_frame(self) -> np.ndarray:
-        """Expand to one (T, D') row per frame."""
-        return self.vectors[self.frame_pool_index]
+from .model import Aggregation, BudgetAllocation, TokenTensor
 
 
 def window_edges(frames: int, window: int | str) -> list[tuple[int, int]]:
@@ -49,29 +32,29 @@ def window_edges(frames: int, window: int | str) -> list[tuple[int, int]]:
     return [(a, min(a + window, frames)) for a in range(0, frames, window)]
 
 
-def global_pool(tensor: TokenTensor, window: int | str = "global") -> PoolAssignment:
-    """Mean-pool the video into per-chunk summary vectors.
+def global_pool(tensor: TokenTensor, window: int | str = "global") -> np.ndarray:
+    """Mean-pool the video in frame windows: row t is frame t's pool, (T, D').
 
     Each chunk's vector is the mean over its frames' tokens, computed as
     per-frame token sums folded in ascending frame order then divided by the
     chunk's token count.  ``window == frames`` is bit-identical to
-    ``"global"`` because both fold the same per-frame subtotals.
+    ``"global"`` because both fold the same per-frame subtotals, and window
+    1 is each frame's own mean (``frame_pool``).
     """
-    frames, tokens, _ = tensor.values.shape
-    edges = window_edges(frames, window)
     frame_sums = accum.frame_token_sums(tensor.values)
-    return pools_from_frame_sums(frame_sums, tokens, edges)
+    return pools_from_frame_sums(frame_sums, tensor.tokens_per_frame, window)
 
 
 def pools_from_frame_sums(frame_sums: np.ndarray, tokens: int,
-                          edges: list[tuple[int, int]]) -> PoolAssignment:
-    """Build chunk pools from precomputed per-frame channel sums.
+                          window: int | str) -> np.ndarray:
+    """The (T, D') pool rows of ``window`` from precomputed per-frame sums.
 
-    The equal-width chunks of ``edges`` fold in one pass, frame j of every
-    chunk added in ascending j (the bits of a per-chunk ``ordered_sums``);
-    a shorter tail folds alone.  Window 1 folds nothing: the frame means.
+    The equal-width chunks fold in one pass, frame j of every chunk added
+    in ascending j (the bits of a per-chunk ``ordered_sums``); a shorter
+    tail folds alone.  Window 1 folds nothing: the frame means.
     """
-    frames, width = frame_sums.shape[0], edges[0][1]
+    frames = frame_sums.shape[0]
+    width = window_edges(frames, window)[0][1]
     full = frames - frames % width
     chunks = frame_sums[:full].reshape(full // width, width, -1)
     sums = chunks[:, 0].copy()
@@ -81,16 +64,18 @@ def pools_from_frame_sums(frame_sums: np.ndarray, tokens: int,
     if full < frames:
         tail = accum.ordered_sums(frame_sums[full:], axis=0) / ((frames - full) * tokens)
         vectors = np.vstack([vectors, tail])
-    return PoolAssignment(vectors, np.arange(frames, dtype=np.int64) // width)
+    return vectors[np.arange(frames) // width]
 
 
-def video_uniqueness(tensor: TokenTensor, pools: PoolAssignment) -> np.ndarray:
-    """Per-token video-level uniqueness: minus the cosine to the pool.
+def video_uniqueness(tensor: TokenTensor, pools: np.ndarray) -> np.ndarray:
+    """Per-token uniqueness: minus the cosine to the token's frame pool row.
 
     Lower similarity to the pooled summary means higher uniqueness, so the
     grid lies in [-1, 1] with -1 for tokens aligned with the summary.
+    ``pools`` is a (T, D') matrix such as :func:`global_pool` gives; with
+    the window-1 pools this is the frame level.
     """
-    return accum.uniqueness_grids(tensor.values, [pools.per_frame()])[0]
+    return accum.uniqueness_grids(tensor.values, [np.asarray(pools, dtype=np.float64)])[0]
 
 
 def frame_uniqueness(u_video: np.ndarray, aggregation: Aggregation = Aggregation.MEAN) -> np.ndarray:

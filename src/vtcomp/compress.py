@@ -22,11 +22,13 @@ from .budget import (
     allocate,
     allocate_uniform,
     frame_uniqueness,
+    global_pool,
     pools_from_frame_sums,
     softmax_weights,
+    video_uniqueness,
     window_edges,
 )
-from .errors import KExceedsMError, ShapeMismatchError
+from .errors import ConfigError, KExceedsMError, ShapeMismatchError
 from .model import (
     Adjustment,
     BudgetAllocation,
@@ -45,13 +47,12 @@ class CompressResult(NamedTuple):
 
 
 def frame_pool(tensor: TokenTensor) -> np.ndarray:
-    """Per-frame mean token vector: (T, D') float64."""
-    return accum.frame_token_sums(tensor.values) / tensor.tokens_per_frame
+    """Per-frame mean token vector, (T, D') float64: the window-1 pools."""
+    return global_pool(tensor, 1)
 
 
-def frame_token_uniqueness(tensor: TokenTensor, pools: np.ndarray) -> np.ndarray:
-    """Per-token frame-level uniqueness: minus cosine to the frame pool."""
-    return accum.uniqueness_grids(tensor.values, [np.asarray(pools, dtype=np.float64)])[0]
+# The frame level is video uniqueness against the window-1 pools.
+frame_token_uniqueness = video_uniqueness
 
 
 def combine_scores(u_frame, u_video, mode: ScoreMode = ScoreMode.COMBINED,
@@ -111,16 +112,23 @@ def keep_top(ranks: np.ndarray, counts) -> np.ndarray:
 
     ``ranks`` comes from :func:`token_ranks`, so one ranking serves any
     number of count vectors.  Counts must have shape ``(T,)`` and lie in
-    0..M.
+    0..M.  A bool count, or a float count that is not whole (NaN
+    included), is a ``ConfigError``, as in ``int_at_least``.
     """
     frames, tokens = ranks.shape
-    counts = np.asarray(counts)
-    if counts.shape != (frames,):
-        raise ShapeMismatchError(f"expected {frames} counts, got shape {counts.shape}")
-    bad = (counts < 0) | (counts > tokens)
+    array = np.asarray(counts)
+    if array.shape != (frames,):
+        raise ShapeMismatchError(f"expected {frames} counts, got shape {array.shape}")
+    # numpy makes a list that mixes bools and ints an int array: check its items.
+    items = () if isinstance(counts, np.ndarray) else np.asarray(counts, dtype=object)
+    if array.dtype == bool or any(isinstance(c, (bool, np.bool_)) for c in items):
+        raise ConfigError(f"counts must be whole numbers, not bools: {counts!r}")
+    if array.dtype.kind == "f" and not np.array_equal(np.floor(array), array):  # NaN too
+        raise ConfigError(f"counts must be whole numbers, got {counts!r}")
+    bad = (array < 0) | (array > tokens)
     if bad.any():
-        raise KExceedsMError(f"k={counts[bad][0]} outside 0..{tokens}")
-    return ranks < counts[:, None]
+        raise KExceedsMError(f"k={array[bad][0]} outside 0..{tokens}")
+    return ranks < array[:, None]
 
 
 def topk_select(scores, k):
@@ -149,7 +157,9 @@ def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
     """
     values = np.ascontiguousarray(tensor.values, dtype=np.float32)  # one copy for both passes
     frames, tokens, dim = values.shape
-    edges = {window: window_edges(frames, window) for window in windows}
+    windows = list(dict.fromkeys(windows))
+    for window in windows:  # every window is checked before any work
+        window_edges(frames, window)
 
     frame_sums = np.zeros((frames, dim), dtype=np.float64)
 
@@ -158,8 +168,8 @@ def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
 
     accum.run_chunked(threads, frames, sum_phase)
 
-    pools = [pools_from_frame_sums(frame_sums, tokens, e).per_frame() for e in edges.values()]
-    return dict(zip(edges, accum.uniqueness_grids(values, pools, threads)))
+    pools = [pools_from_frame_sums(frame_sums, tokens, window) for window in windows]
+    return dict(zip(windows, accum.uniqueness_grids(values, pools, threads)))
 
 
 def select_budgets(config: RetentionConfig, grids: dict

@@ -16,18 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .accum import ordered_sums
+from .accum import frame_token_sums, ordered_sums
 from .errors import (
     ConfigError,
     DimensionMismatchError,
     LengthMismatchError,
     NonFiniteError,
 )
-
-
-# Elements per finiteness block in ``validate``; a block never splits an
-# outer-axis slice.
-_FINITE_BLOCK = 1 << 16
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -109,23 +104,15 @@ def validate(tensor: TokenTensor) -> None:
         raise DimensionMismatchError(f"expected float32 data, got {values.dtype}")
     if min(values.shape) < 1:
         raise DimensionMismatchError(f"every axis must be >= 1, got shape {values.shape}")
-    # Scan in memory order, so a Fortran-ordered or strided tensor is read
-    # sequentially too; only a failure pays for the C-order search that
-    # names the first offending flat index.
-    by_stride = np.argsort([-abs(s) for s in values.strides], kind="stable")
-    if not all(block.all() for _, block in _finite_blocks(values.transpose(by_stride))):
-        for start, finite in _finite_blocks(values):
-            if not finite.all():
-                raise NonFiniteError(start + int(np.argmin(finite.reshape(-1))))
-
-
-def _finite_blocks(values: np.ndarray):
-    """``(flat start, isfinite mask)`` per block of whole outer-axis slices,
-    so each mask stays about one slice's size rather than the whole tensor's."""
-    slice_size = values.shape[1] * values.shape[2]
-    step = max(1, _FINITE_BLOCK // slice_size)
-    for t in range(0, values.shape[0], step):
-        yield t * slice_size, np.isfinite(values[t : t + step])
+    # A non-finite element makes its frame's float64 sum non-finite, and a
+    # finite float32 sum over M <= 2**32 tokens cannot overflow float64, so
+    # only the first non-finite frame is searched for the C-order index.
+    with np.errstate(invalid="ignore"):  # the numpy body warns on inf + -inf
+        finite = np.isfinite(frame_token_sums(values)).all(axis=1)
+    if not finite.all():
+        t = int(np.argmin(finite))
+        frame = np.isfinite(values[t]).reshape(-1)
+        raise NonFiniteError(t * frame.size + int(np.argmin(frame)))
 
 
 def cosine(a, b) -> float:

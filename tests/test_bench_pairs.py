@@ -37,3 +37,24 @@ def test_verdict_calls_a_spread_wider_than_the_bound_unresolved():
               "change_better_pairs": 10}
     assert "unresolved" not in verdict("tokens_per_s", higher, "higher", 0.25, 10)
     assert "unresolved" in verdict("tokens_per_s", overlapping, "higher", 0.25, 10)
+
+
+def test_failed_share_pools_each_side_and_flags_a_higher_change_share():
+    script = load()
+
+    def run(side, attempted, failed):
+        return {"side": side, "attempted": attempted, "failed": failed}
+
+    runs = [run("parent", 100, 0), run("change", 100, 1),
+            run("parent", 50, 1), run("change", 300, 0)]
+    shares = script.failed_shares(runs)
+    assert shares == {"parent": 1 / 150, "change": 1 / 400}
+    assert "LARGER SHARE" not in script.failure_verdict(shares)
+
+    runs.append(run("change", 100, 2))  # now 3 of 500 against 1 of 150
+    assert "LARGER SHARE" not in script.failure_verdict(script.failed_shares(runs))
+    runs.append(run("change", 100, 1))  # 4 of 600 equals 1 of 150: not higher
+    assert "LARGER SHARE" not in script.failure_verdict(script.failed_shares(runs))
+    runs.append(run("change", 1, 1))
+    assert "LARGER SHARE" in script.failure_verdict(script.failed_shares(runs))
+    assert script.failed_shares([]) == {"parent": 0.0, "change": 0.0}

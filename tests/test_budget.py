@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,29 +41,24 @@ class TestGlobalPool:
     def test_global_mean_of_two_scalars(self):
         t = TokenTensor.from_array(np.array([[[2.0]], [[4.0]]], dtype=np.float32))
         pools = global_pool(t)
-        assert pools.vectors.shape == (1, 1)
-        assert pools.vectors[0, 0] == 3.0
-        assert np.array_equal(pools.frame_pool_index, [0, 0])
+        assert pools.shape == (2, 1)
+        assert np.array_equal(pools, [[3.0], [3.0]])  # one row per frame
 
     def test_window_one_pools_each_frame(self):
         t = TokenTensor.from_array(np.array([[[2.0]], [[4.0]]], dtype=np.float32))
         pools = global_pool(t, window=1)
-        assert pools.vectors.shape == (2, 1)
-        assert pools.vectors[0, 0] == 2.0
-        assert pools.vectors[1, 0] == 4.0
-        assert np.array_equal(pools.frame_pool_index, [0, 1])
+        assert np.array_equal(pools, [[2.0], [4.0]])
+        assert pools.tobytes() == frame_pool(t).tobytes()
 
     def test_window_covering_all_frames_equals_global(self, rng):
         values = rng.standard_normal((32, 196, 8)).astype(np.float32)
         t = TokenTensor.from_array(values)
-        assert np.array_equal(global_pool(t, window=32).vectors, global_pool(t).vectors)
+        assert global_pool(t, window=32).tobytes() == global_pool(t).tobytes()
 
     def test_tail_chunk_shorter(self):
         values = np.arange(5 * 1 * 1, dtype=np.float32).reshape(5, 1, 1)
         pools = global_pool(TokenTensor.from_array(values), window=2)
-        assert pools.vectors.shape == (3, 1)
-        assert pools.vectors[2, 0] == 4.0  # lone tail frame
-        assert np.array_equal(pools.frame_pool_index, [0, 0, 1, 1, 2])
+        assert np.array_equal(pools, [[0.5], [0.5], [2.5], [2.5], [4.0]])  # lone tail frame
 
     @pytest.mark.parametrize("window", [0, -1, 6, 100])
     def test_window_out_of_range(self, window):
@@ -72,16 +68,17 @@ class TestGlobalPool:
 
     def test_the_2x2x2_pool(self):
         pools = global_pool(CASE)
-        assert np.array_equal(pools.vectors, np.array([[0.75, 0.25]]))
+        assert np.array_equal(pools, np.array([[0.75, 0.25], [0.75, 0.25]]))
 
 
 def per_chunk_pools(frame_sums, tokens, edges):
     """The pool rule one chunk at a time: fold each chunk's frame sums in
-    ascending frame order, then divide by its token count."""
-    vectors = np.array([accum.ordered_sums(frame_sums[a:b], axis=0) / ((b - a) * tokens)
-                        for a, b in edges], dtype=np.float64)
-    index = np.repeat(np.arange(len(edges), dtype=np.int64), [b - a for a, b in edges])
-    return vectors, index
+    ascending frame order, divide by its token count, and give that row to
+    every frame of the chunk."""
+    rows = []
+    for a, b in edges:
+        rows += [accum.ordered_sums(frame_sums[a:b], axis=0) / ((b - a) * tokens)] * (b - a)
+    return np.array(rows, dtype=np.float64)
 
 
 class TestPoolsFromFrameSums:
@@ -95,11 +92,10 @@ class TestPoolsFromFrameSums:
             zeros = rng.random(shape) < 0.1
             sums[zeros] = np.copysign(0.0, sums[zeros])  # both signed zeros
             for window in ["global", *range(1, frames + 1)]:
-                edges = window_edges(frames, window)
-                got = pools_from_frame_sums(sums, tokens, edges)
-                vectors, index = per_chunk_pools(sums, tokens, edges)
-                assert got.vectors.tobytes() == vectors.tobytes(), (frames, window)
-                assert got.frame_pool_index.tobytes() == index.tobytes(), (frames, window)
+                got = pools_from_frame_sums(sums, tokens, window)
+                want = per_chunk_pools(sums, tokens, window_edges(frames, window))
+                assert got.shape == shape, (frames, window)
+                assert got.tobytes() == want.tobytes(), (frames, window)
 
 
 class TestVideoUniqueness:
@@ -400,3 +396,52 @@ class TestBudgetRules:
         sigma[data.draw(st.integers(0, frames - 1))] = bad
         with pytest.raises((ValueError, OverflowError)):
             allocate(sigma, ratio, tokens, min_tokens=min_tokens)
+
+
+@st.composite
+def fca_cases(draw):
+    frames, tokens = draw(st.integers(1, 64)), draw(st.integers(1, 512))
+    ratio = draw(st.floats(0.0, 1.0, exclude_min=True))
+    min_tokens = draw(st.sampled_from([1, 2, tokens, tokens + 1, 10**30]))
+    u = draw(st.lists(st.floats(-1.0, 1.0), min_size=frames, max_size=frames))
+    tau, eps = draw(st.floats(1e-4, 10.0)), draw(st.floats(1e-12, 1e6))
+    return frames, tokens, ratio, min_tokens, u, tau, eps
+
+
+def weight_spread(sigma) -> Fraction:
+    """sum_t |sigma_t - 1/T|, exact over the float weights."""
+    return sum(abs(Fraction(s) - Fraction(1, len(sigma))) for s in sigma.tolist())
+
+
+class TestFcaReach:
+    """How far frame compression adjustment (FCA) moves budgets from uniform.
+
+    r_t - R = R*(sigma_t - 1/T), and ceil and the clamp each move a count
+    by at most 1 more, so sum_t |k_t - k_uniform| <= R*M*spread + T with
+    spread = sum_t |sigma_t - 1/T|.  The weights are >= 0 and sum to at
+    most 1, so for T >= 2 the spread is at most 2*(1 - 1/T).  At T = 1 it
+    is 1 - sigma, which a large epsilon pushes towards 1.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(fca_cases())
+    def test_budget_shift_is_bounded_by_the_weight_spread(self, case):
+        frames, tokens, ratio, min_tokens, u, tau, eps = case
+        sigma = softmax_weights(u, tau, eps)
+        counts = allocate(sigma, ratio, tokens, min_tokens).per_frame_count
+        uniform = allocate_uniform(frames, ratio, tokens, min_tokens).per_frame_count
+        spread = weight_spread(sigma)
+        assert int(np.abs(counts - uniform).sum()) <= Fraction(ratio) * tokens * spread + frames
+        if frames >= 2:
+            assert spread <= 2 * (1 - Fraction(1, frames))
+
+    def test_one_frame_with_a_large_epsilon(self):
+        # sigma = 1/(1 + 1e6): the one frame keeps 1 token, not the uniform 50,
+        # past 2*R*M*(1 - 1/T) + T = 1 but within R*M*spread + T.
+        sigma = softmax_weights([0.3], 0.01, 1e6)
+        assert sigma[0] == pytest.approx(1e-6, rel=1e-5)
+        counts = allocate(sigma, 0.5, 100).per_frame_count
+        assert counts.tolist() == [1]
+        assert allocate_uniform(1, 0.5, 100).per_frame_count.tolist() == [50]
+        assert 49 <= Fraction(0.5) * 100 * weight_spread(sigma) + 1
+

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from vtcomp import (
     generate,
     validate,
 )
+from vtcomp import accum
 
 
 class TestTokenTensor:
@@ -117,9 +120,8 @@ class TestTokenTensor:
         validate(TokenTensor(values))
 
     def test_layout_never_changes_the_reported_index(self, rng):
-        # validate scans in memory order; a Fortran-ordered or strided copy
-        # must still name the first fault in C order, also when a later C
-        # index comes first in memory.
+        # A Fortran-ordered or strided copy must still name the first fault
+        # in C order, also when a later C index comes first in memory.
         shape = (6, 70, 300)
         size = int(np.prod(shape))
         frame_size = shape[1] * shape[2]
@@ -142,6 +144,22 @@ class TestTokenTensor:
                 with pytest.raises(NonFiniteError) as err:
                     validate(TokenTensor(values))
                 assert err.value.flat_index == min(fault)
+
+
+    def test_numpy_body_names_the_first_fault_without_a_warning(self, monkeypatch):
+        # validate finds faults through the frame sums; the numpy body adds
+        # inf + -inf in one channel there, which warns unless validate
+        # silences it.  The later NaN must not be the one reported.
+        monkeypatch.setattr(accum, "_lib", None)
+        values = np.zeros((3, 4, 5), dtype=np.float32)
+        values[1, 1, 2] = np.inf
+        values[1, 3, 2] = -np.inf
+        values[2, 0, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as err:
+                validate(TokenTensor(values))
+        assert err.value.flat_index == np.ravel_multi_index((1, 1, 2), values.shape)
 
 
 class TestCosine:

@@ -22,6 +22,7 @@ import vtcomp.cli
 from vtcomp import (
     Adjustment,
     Aggregation,
+    ConfigError,
     KExceedsMError,
     RetentionConfig,
     ScoreMode,
@@ -182,6 +183,34 @@ class TestGridTopk:
     def test_count_vector_of_wrong_length_raises(self, counts):
         with pytest.raises(ShapeMismatchError):
             topk_select(np.zeros((3, 4)), counts)
+
+    @pytest.mark.parametrize("select", [
+        lambda grid: topk_select(grid[0], 2.5),
+        lambda grid: topk_select(grid[0], math.nan),
+        lambda grid: topk_select(grid[0], True),
+        lambda grid: topk_select(grid[0], np.True_),
+        lambda grid: topk_select(grid, [1.5, 2]),
+        lambda grid: topk_select(grid, np.array([2.0, math.nan])),
+        lambda grid: COMPRESS_MODULE.keep_top(COMPRESS_MODULE.token_ranks(grid), [1.5, 2]),
+        lambda grid: COMPRESS_MODULE.keep_top(COMPRESS_MODULE.token_ranks(grid), [True, 2]),
+        lambda grid: COMPRESS_MODULE.keep_top(COMPRESS_MODULE.token_ranks(grid),
+                                              np.array([True, False])),
+    ], ids=["2.5", "nan", "True", "np.True_", "list-1.5", "array-nan", "keep_top-1.5",
+            "keep_top-list-True", "keep_top-bool-array"])
+    def test_count_that_is_not_a_whole_number_raises(self, select):
+        # 2.5 used to keep 3 tokens, NaN none, [1.5, 2] kept 2 in row 0 and
+        # True counted as 1.
+        grid = np.array([[3.0, 1.0, 2.0, 0.0], [0.0, 1.0, 2.0, 3.0]])
+        with pytest.raises(ConfigError):
+            select(grid)
+
+    def test_whole_float_counts_are_counts(self):
+        grid = np.array([[3.0, 1.0, 2.0, 0.0], [0.0, 1.0, 2.0, 3.0]])
+        assert topk_select(grid[0], 2.0).tolist() == [0, 2]
+        assert np.array_equal(topk_select(grid, np.array([1.0, 2.0])), topk_select(grid, [1, 2]))
+        for k in (math.inf, -math.inf, 5.0):  # whole, but outside 0..M
+            with pytest.raises(KExceedsMError):
+                topk_select(grid[0], k)
 
 
 class TestOneRankingPerSelection:
