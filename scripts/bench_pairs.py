@@ -25,6 +25,11 @@ It prints each side's failed share, the failed operations over the
 attempted ones of all its runs, and flags the change when its share is
 higher.  ``--previous`` prints the same section's medians from an earlier
 file beside this run's.
+
+A run that exits non-zero (or prints nothing) stops the comparison: the
+section keeps every finished run, the medians of the complete pairs, and a
+``stopped`` record of the failed run (pair, side, exit code, the last lines
+of its stderr); it is still written to ``--out``, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -40,6 +45,19 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# What each run record holds besides its metric values.
+RUN_FIELDS = ("pair", "side", "ran_first", "correct", "attempted", "failed")
+# Lines of a failed run's stderr kept in its ``stopped`` record.
+STDERR_LINES = 20
+
+
+class RunFailed(Exception):
+    """A vtbench run that exited non-zero or printed no result."""
+
+    def __init__(self, exit_code: int, stderr: str):
+        super().__init__(f"exited {exit_code}")
+        self.exit_code = exit_code
+        self.stderr_tail = stderr.strip().splitlines()[-STDERR_LINES:]
 
 
 def run_once(checkout: Path, args) -> dict:
@@ -51,8 +69,31 @@ def run_once(checkout: Path, args) -> dict:
                           timeout=4 * args.seconds + 900)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
-        raise SystemExit(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+        raise RunFailed(done.returncode, done.stderr)
     return json.loads(lines[-1])
+
+
+def run_pairs(checkouts: dict, args, shown) -> tuple[list[dict], dict | None]:
+    """The alternating runs, up to the first failed one; returns the
+    finished runs and the failed run's record (None when every run ended)."""
+    runs = []
+    for pair in range(args.pairs):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        for position, side in enumerate(order):
+            try:
+                result = run_once(checkouts[side], args)
+            except RunFailed as exc:
+                print(f"pair {pair} {side}: {exc}, stopping\n" + "\n".join(exc.stderr_tail),
+                      file=sys.stderr, flush=True)
+                return runs, {"pair": pair, "side": side, "exit_code": exc.exit_code,
+                              "stderr_tail": exc.stderr_tail}
+            values = {name: m["value"] for name, m in result["metrics"].items()}
+            runs.append({"pair": pair, "side": side, "ran_first": position == 0,
+                         "correct": result["correct"], "attempted": result["attempted"],
+                         "failed": result["failed"], **values})
+            print(f"pair {pair} {side}: correct {result['correct']}, " + ", ".join(
+                f"{n} {values[n]:.6g}" for n in shown if n in values), flush=True)
+    return runs, None
 
 
 def summary(values: list[float]) -> dict:
@@ -145,22 +186,16 @@ def main(argv=None) -> int:
     section_name = args.section or args.workload
     better_of, bounds = directions(checkouts["change"])
 
-    runs, names = [], []
-    for pair in range(args.pairs):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for position, side in enumerate(order):
-            result = run_once(checkouts[side], args)
-            values = {name: m["value"] for name, m in result["metrics"].items()}
-            names = names or list(values)
-            runs.append({"pair": pair, "side": side, "ran_first": position == 0,
-                         "correct": result["correct"], "attempted": result["attempted"],
-                         "failed": result["failed"], **values})
-            print(f"pair {pair} {side}: correct {result['correct']}, " + ", ".join(
-                f"{n} {values[n]:.6g}" for n in bounds if n in values), flush=True)
+    runs, stopped = run_pairs(checkouts, args, bounds)
+    # Medians and the verdict read complete pairs only; a stopped run's
+    # partner is kept in ``runs`` but compared with nothing.
+    pairs = len(runs) // 2
+    paired = [r for r in runs if r["pair"] < pairs]
+    names = [n for n in paired[0] if n not in RUN_FIELDS] if paired else []
 
     metrics = {}
     for name in names:
-        side_values = {s: [r[name] for r in runs if r["side"] == s] for s in SIDES}
+        side_values = {s: [r[name] for r in paired if r["side"] == s] for s in SIDES}
         stats = {s: summary(v) for s, v in side_values.items()}
         if name in better_of:
             stats["change_better_pairs"] = sum(
@@ -169,13 +204,16 @@ def main(argv=None) -> int:
         metrics[name] = stats
 
     print(f"\n{section_name}: {args.workload}, seed {args.seed}, {args.seconds:g} s, "
-          f"trace {args.trace}, {args.pairs} pairs, "
+          f"trace {args.trace}, {pairs} pairs, "
           f"all correct: {all(r['correct'] for r in runs)}")
+    if stopped:
+        print(f"STOPPED at pair {stopped['pair']} {stopped['side']}: "
+              f"exit code {stopped['exit_code']}")
     shares = failed_shares(runs)
     print(failure_verdict(shares))
     for name in bounds:
         if name in metrics:
-            line = verdict(name, metrics[name], better_of[name], bounds[name], args.pairs)
+            line = verdict(name, metrics[name], better_of[name], bounds[name], pairs)
             print(("CLAIM " if name == args.claim else "") + line)
 
     if args.previous:
@@ -205,18 +243,20 @@ def main(argv=None) -> int:
                         "platform": platform.platform()},
         }
         section = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                   "trace": args.trace, "pairs": args.pairs,
+                   "trace": args.trace, "pairs": pairs,
                    "all_correct": all(r["correct"] for r in runs),
                    "failed_share": shares, "metrics": metrics,
                    "runs": runs}
         if args.note:
             section = {"note": args.note, **section}
-        if args.claim:
+        if stopped:
+            section["stopped"] = stopped
+        if args.claim in metrics:
             section["claim"] = verdict(args.claim, metrics[args.claim], better_of[args.claim],
-                                       bounds.get(args.claim), args.pairs)
+                                       bounds.get(args.claim), pairs)
         record[section_name] = section
         args.out.write_text(json.dumps(record, indent=2) + "\n")
-    return 0
+    return 1 if stopped else 0
 
 
 if __name__ == "__main__":

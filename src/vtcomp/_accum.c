@@ -8,8 +8,8 @@
  * accumulator's additions or fuse a multiply into an add, so this file is
  * built with -ffp-contract=off and without -ffast-math.
  *
- * Arrays are C-contiguous; the Python side checks shapes, dtypes and
- * bounds before passing pointers.
+ * Every array is one flat C-contiguous buffer (a stack of matrices lies
+ * back to back); the Python side checks shapes, dtypes and bounds first.
  *
  * On x86-64 glibc builds with GCC or Clang, each entry point also has an AVX2
  * body that runs when the CPU has AVX2 (see kernel_isa); the library itself
@@ -245,47 +245,48 @@ HELPER void square_four(double *restrict acc, const float *restrict x, ptrdiff_t
 
 /* Squared norms and pool dot products of the tokens of frames
  * [start, stop), read from the channel-major block ``cm`` of
- * (dim, (stop - start) * tokens).  ``pools[p]`` is a (frames, dim) float64
- * matrix; ``sq`` and each ``dots[p]`` receive (stop - start) * tokens
- * values.  Each accumulator adds channels strictly left to right.
+ * (dim, (stop - start) * tokens).  ``pools`` is npools (frames, dim) float64
+ * matrices back to back; ``sq`` gets (stop - start) * tokens values, ``dots``
+ * npools rows of them.  Each accumulator adds channels strictly left to right.
  *
  * Columns go in runs of at most TILE tokens of one frame, so a run shares
  * one pool row and its accumulators stay in L1 while every channel of the
  * run is read once. */
 DISPATCHED
-void token_reductions(const float *restrict cm, ptrdiff_t dim, ptrdiff_t tokens,
-                      ptrdiff_t start, ptrdiff_t stop,
-                      const double *const *pools, ptrdiff_t npools,
-                      double *restrict sq, double *const *dots)
+void token_reductions(const float *restrict cm, ptrdiff_t frames, ptrdiff_t tokens,
+                      ptrdiff_t dim, ptrdiff_t start, ptrdiff_t stop,
+                      const double *restrict pools, ptrdiff_t npools,
+                      double *restrict sq, double *restrict dots)
 {
-    ptrdiff_t cols = (stop - start) * tokens;
+    ptrdiff_t cols = (stop - start) * tokens, stride = frames * dim;
     for (ptrdiff_t t = 0; t < stop - start; t++) {
+        const double *rows = pools + (start + t) * dim;  /* frame t's row of pool 0 */
         for (ptrdiff_t j0 = t * tokens; j0 < (t + 1) * tokens; j0 += TILE) {
             ptrdiff_t n = min_pd(j0 + TILE, (t + 1) * tokens) - j0;
             for (ptrdiff_t j = 0; j < n; j++)
                 sq[j0 + j] = 0.0;
             for (ptrdiff_t p = 0; p < npools; p++)
                 for (ptrdiff_t j = 0; j < n; j++)
-                    dots[p][j0 + j] = 0.0;
+                    dots[p * cols + j0 + j] = 0.0;
             ptrdiff_t c = 0;
             for (; c + 4 <= dim; c += 4) {
                 const float *x = cm + c * cols + j0;
-                ptrdiff_t row = (start + t) * dim + c, p = 0;
+                ptrdiff_t p = 0;
                 if (npools >= 2) {  /* the usual case: video and frame pool */
-                    square_add2_four(sq + j0, dots[0] + j0, dots[1] + j0, x, cols,
-                                     pools[0] + row, pools[1] + row, n);
+                    square_add2_four(sq + j0, dots + j0, dots + cols + j0, x, cols,
+                                     rows + c, rows + stride + c, n);
                     p = 2;
                 } else {
                     square_four(sq + j0, x, cols, n);
                 }
                 for (; p < npools; p++)
-                    add_four(dots[p] + j0, x, cols, pools[p] + row, n);
+                    add_four(dots + p * cols + j0, x, cols, rows + p * stride + c, n);
             }
             for (; c < dim; c++) {
                 const float *x = cm + c * cols + j0;
                 square_one(sq + j0, x, n);
                 for (ptrdiff_t p = 0; p < npools; p++)
-                    add_one(dots[p] + j0, x, pools[p] + (start + t) * dim + c, n);
+                    add_one(dots + p * cols + j0, x, rows + p * stride + c, n);
             }
         }
     }

@@ -77,7 +77,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t
     lib.frame_token_sums.argtypes = [ptr, size, size, size, ptr]
     lib.transpose_tokens.argtypes = [ptr, size, size, size, size, ptr]
-    lib.token_reductions.argtypes = [ptr, size, size, size, size, ptr, size, ptr, ptr]
+    lib.token_reductions.argtypes = [ptr, size, size, size, size, size, ptr, size, ptr, ptr]
     for fn in (lib.frame_token_sums, lib.transpose_tokens, lib.token_reductions):
         fn.restype = None
     lib.kernel_isa.argtypes = []
@@ -109,10 +109,6 @@ KERNEL = "numpy" if _lib is None else "c"
 KERNEL_ISA = None if _lib is None else _lib.kernel_isa().decode()
 
 
-def _pointers(arrays) -> ctypes.Array:
-    return (ctypes.c_void_p * len(arrays))(*[a.ctypes.data for a in arrays])
-
-
 def _frame_range(frames: int, start: int, stop: int | None) -> int:
     """``stop`` (every frame by default) once [start, stop) lies in 0..frames."""
     if stop is None:
@@ -136,6 +132,15 @@ def frame_token_sums(values: np.ndarray) -> np.ndarray:
         for m in range(tokens):
             np.add(sums, values[:, m, :], out=sums)
     return sums
+
+
+def _stacked_pools(pool_rows, frames: int, dim: int) -> np.ndarray:
+    """P (T, D') matrices, listed or stacked, as one C-ordered (P, T, D') float64
+    array; each is checked first, as numpy raises ValueError on a ragged list."""
+    for rows in pool_rows:
+        if np.shape(rows) != (frames, dim):
+            raise ShapeMismatchError(f"expected {(frames, dim)} pools, got {np.shape(rows)}")
+    return np.ascontiguousarray(pool_rows, dtype=np.float64).reshape(len(pool_rows), frames, dim)
 
 
 def ordered_sums(array: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -176,18 +181,18 @@ def token_reductions(
     channel_major: np.ndarray,
     frames: int,
     tokens: int,
-    pool_rows: list[np.ndarray],
+    pool_rows,
     start: int = 0,
     stop: int | None = None,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Squared norms and pooled-vector dot products for every token.
 
     ``channel_major`` is the (D', (stop - start)*M) float32 block that
     :func:`transpose_tokens` fills for frames [start, stop) (by default all
-    T frames); each entry of ``pool_rows`` is a (T, D') float64 matrix
-    holding the vector each frame's tokens are compared against, indexed by
-    absolute frame.  Returns the (stop - start, M) squared-norm grid and one
-    such dot grid per pool matrix, all accumulated left to right over
+    T frames); ``pool_rows`` is a (P, T, D') float64 array (or a list of P
+    (T, D') matrices) whose row [p, t] is a vector frame t's tokens are
+    compared against.  Returns the (stop - start, M) squared-norm grid and
+    the (P, stop - start, M) dot grids, all accumulated left to right over
     channels.  The frame range lets threaded callers compute disjoint
     slices.  A block or pool matrix of any other shape raises ``ShapeMismatchError``.
     """
@@ -197,29 +202,24 @@ def token_reductions(
     span = stop - start
     if block.shape != (dim, span * tokens):
         raise ShapeMismatchError(f"expected a {(dim, span * tokens)} block, got {block.shape}")
-    pools = [np.ascontiguousarray(rows, dtype=np.float64) for rows in pool_rows]
-    for rows in pools:
-        if rows.shape != (frames, dim):
-            raise ShapeMismatchError(f"expected {(frames, dim)} pools, got {rows.shape}")
+    pools = _stacked_pools(pool_rows, frames, dim)
     sq = np.zeros((span, tokens), dtype=np.float64)
-    dots = [np.zeros((span, tokens), dtype=np.float64) for _ in pools]
+    dots = np.zeros((len(pools), span, tokens), dtype=np.float64)
 
     if _lib is not None:
-        _lib.token_reductions(block.ctypes.data, dim, tokens, start, stop,
-                              _pointers(pools), len(pools), sq.ctypes.data,
-                              _pointers(dots))
+        _lib.token_reductions(block.ctypes.data, frames, tokens, dim, start, stop,
+                              pools.ctypes.data, len(pools), sq.ctypes.data,
+                              dots.ctypes.data)
         return sq, dots
 
     # (D', span, M) view of this frame range; each [c] is one contiguous
-    # channel plane.  (D', span, 1) pool columns broadcast per channel.
+    # channel plane.  (D', P, span, 1) pool columns broadcast per channel.
     planes = block.reshape(dim, span, tokens)
-    pool_cols = [np.ascontiguousarray(rows[start:stop].T).reshape(dim, span, 1)
-                 for rows in pools]
+    pool_cols = np.ascontiguousarray(pools[:, start:stop].transpose(2, 0, 1))[..., None]
     for c in range(dim):
         chan = planes[c].astype(np.float64)
         sq += chan * chan
-        for cols, acc in zip(pool_cols, dots):
-            acc += chan * cols[c]
+        dots += chan * pool_cols[c]
     return sq, dots
 
 
@@ -254,25 +254,22 @@ def run_chunked(workers: int, frames: int, phase) -> None:
             future.result()
 
 
-def uniqueness_grids(values: np.ndarray, pool_rows: list[np.ndarray],
-                     threads: int = 1) -> list[np.ndarray]:
+def uniqueness_grids(values: np.ndarray, pool_rows, threads: int = 1) -> np.ndarray:
     """Minus the clamped cosine of every token to each pool matrix.
 
     The one scoring pass: ``values`` (T, M, D') float32 is transposed and
-    reduced frame block by frame block against every (T, D') float64 matrix
-    in ``pool_rows`` at once, then each dot grid becomes one (T, M) grid of
-    uniqueness scores in [-1, 1].  Each worker reuses one channel-major
-    buffer of about ``_BLOCK_BYTES`` for its frame chunk; the numpy bodies
-    pay per call, so they take the whole chunk as one block.  A pool matrix
-    of any other shape raises ``ShapeMismatchError``.
+    reduced frame block by frame block against all P (T, D') pool matrices
+    at once (``pool_rows``, a (P, T, D') array or a list), then the dot
+    grids become the (P, T, M) array of uniqueness scores in [-1, 1].  Each
+    worker reuses one channel-major buffer of about ``_BLOCK_BYTES`` for its
+    frame chunk; the numpy bodies pay per call, so they take the whole chunk
+    as one block.  A pool matrix of any other shape raises ``ShapeMismatchError``.
     """
     values = np.ascontiguousarray(values, dtype=np.float32)
     frames, tokens, dim = values.shape
-    for rows in pool_rows:
-        if rows.shape != (frames, dim):
-            raise ShapeMismatchError(f"expected {(frames, dim)} pools, got {rows.shape}")
+    pools = _stacked_pools(pool_rows, frames, dim)
     sq = np.empty((frames, tokens), dtype=np.float64)
-    dots = [np.empty((frames, tokens), dtype=np.float64) for _ in pool_rows]
+    dots = np.empty((len(pools), frames, tokens), dtype=np.float64)
     frame_size = tokens * dim
     block = max(1, _BLOCK_BYTES // (4 * frame_size)) if _lib is not None else frames
 
@@ -283,13 +280,12 @@ def uniqueness_grids(values: np.ndarray, pool_rows: list[np.ndarray],
             t1 = min(t0 + step, b)
             channel_major = buf[: (t1 - t0) * frame_size].reshape(dim, (t1 - t0) * tokens)
             transpose_tokens(values, out=channel_major, start=t0, stop=t1)
-            part_sq, parts = token_reductions(channel_major, frames, tokens, pool_rows, t0, t1)
-            sq[t0:t1] = part_sq
-            for grid, part in zip(dots, parts):
-                grid[t0:t1] = part
+            sq[t0:t1], dots[:, t0:t1] = token_reductions(channel_major, frames, tokens,
+                                                         pools, t0, t1)
 
     run_chunked(threads, frames, reduce_phase)
 
-    token_norms = np.sqrt(sq)
-    return [-clamped_cosines(grid, token_norms, np.sqrt(ordered_sums(rows * rows))[:, None])
-            for grid, rows in zip(dots, pool_rows)]
+    pool_norms = np.empty((len(pools), frames, 1), dtype=np.float64)
+    for norms, rows in zip(pool_norms, pools):  # one ordered_sums on the stack is slower
+        norms[:, 0] = np.sqrt(ordered_sums(rows * rows))
+    return -clamped_cosines(dots, np.sqrt(sq), pool_norms)

@@ -9,6 +9,7 @@ retention ratio at the preset value while shifting tokens between frames.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -18,17 +19,18 @@ from .model import Aggregation, BudgetAllocation, TokenTensor
 
 
 def window_edges(frames: int, window: int | str) -> list[tuple[int, int]]:
-    """Contiguous chunk bounds for a window size, validating the range.
+    """Contiguous chunk bounds for a window size (any integer but a bool), validated.
 
     ``"global"`` (or window == frames) yields the single chunk [0, frames);
     otherwise frames partition into [0, w), [w, 2w), ... with a shorter tail.
     """
     if window == "global":
         return [(0, frames)]
-    if not isinstance(window, int) or isinstance(window, bool) or not (1 <= window <= frames):
+    if not isinstance(window, Integral) or isinstance(window, bool) or not 1 <= window <= frames:
         raise WindowOutOfRangeError(
             f"window must be 'global' or an int in 1..{frames}, got {window!r}"
         )
+    window = int(window)
     return [(a, min(a + window, frames)) for a in range(0, frames, window)]
 
 
@@ -75,7 +77,7 @@ def video_uniqueness(tensor: TokenTensor, pools: np.ndarray) -> np.ndarray:
     ``pools`` is a (T, D') matrix such as :func:`global_pool` gives; with
     the window-1 pools this is the frame level.
     """
-    return accum.uniqueness_grids(tensor.values, [np.asarray(pools, dtype=np.float64)])[0]
+    return accum.uniqueness_grids(tensor.values, [pools])[0]
 
 
 def frame_uniqueness(u_video: np.ndarray, aggregation: Aggregation = Aggregation.MEAN) -> np.ndarray:

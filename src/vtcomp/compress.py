@@ -149,10 +149,10 @@ def topk_select(scores, k):
 def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
     """One uniqueness grid per distinct pooling window: ``{window: grid}``.
 
-    The scoring pass of :func:`compress`: frame sums, one pool matrix per
-    window, then one ``uniqueness_grids`` call that reduces every token
-    against all of them at once.  Window 1 pools each frame alone, so its
-    grid is the frame level.  Each grid is bit-identical to the one a
+    The scoring pass of :func:`compress`: frame sums, the (P, T, D') stack
+    of one pool matrix per window, then one ``uniqueness_grids`` call; its
+    (P, T, M) rows are the windows' grids.  Window 1 pools each frame alone,
+    so its grid is the frame level.  Each grid is bit-identical to the one a
     single-window call gives; every window is validated before any work.
     """
     values = np.ascontiguousarray(tensor.values, dtype=np.float32)  # one copy for both passes
@@ -168,7 +168,7 @@ def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
 
     accum.run_chunked(threads, frames, sum_phase)
 
-    pools = [pools_from_frame_sums(frame_sums, tokens, window) for window in windows]
+    pools = np.array([pools_from_frame_sums(frame_sums, tokens, window) for window in windows])
     return dict(zip(windows, accum.uniqueness_grids(values, pools, threads)))
 
 

@@ -1,6 +1,7 @@
 """The pairs verdict of ``scripts/bench_pairs.py``, loaded from its path."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -58,3 +59,45 @@ def test_failed_share_pools_each_side_and_flags_a_higher_change_share():
     runs.append(run("change", 1, 1))
     assert "LARGER SHARE" in script.failure_verdict(script.failed_shares(runs))
     assert script.failed_shares([]) == {"parent": 0.0, "change": 0.0}
+
+
+# A stand-in for vtbench/run.py: prints one result line per call, its
+# op_ms.p50 the call's number, and exits 3 on its second call.
+FAKE_RUN = """
+import json, pathlib, sys
+calls = pathlib.Path("calls")
+n = int(calls.read_text()) + 1 if calls.exists() else 1
+calls.write_text(str(n))
+if n == 2:
+    print("first line", file=sys.stderr)
+    print("run failed", file=sys.stderr)
+    sys.exit(3)
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"op_ms.p50": {"value": float(n)}}}))
+"""
+
+
+def test_failed_run_stops_the_pairs_and_keeps_the_finished_runs(tmp_path, capsys):
+    spec = {"end_to_end": [{"name": "op_ms.p50", "better": "lower", "bound": 0.25}]}
+    for side in ("parent", "change"):
+        (tmp_path / side / "vtbench").mkdir(parents=True)
+        (tmp_path / side / "vtbench" / "run.py").write_text(FAKE_RUN)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    out = tmp_path / "BENCH.json"
+
+    code = load().main(["--parent", str(tmp_path / "parent"), "--change",
+                        str(tmp_path / "change"), "--workload", "w", "--pairs", "3",
+                        "--seconds", "1", "--out", str(out), "--claim", "op_ms.p50"])
+
+    # Pair 0 runs parent then change; pair 1 runs the change first, its second call.
+    assert code == 1
+    section = json.loads(out.read_text())["w"]
+    assert [(r["pair"], r["side"], r["op_ms.p50"]) for r in section["runs"]] == \
+        [(0, "parent", 1.0), (0, "change", 1.0)]
+    assert section["pairs"] == 1
+    assert section["metrics"]["op_ms.p50"]["change"]["median"] == 1.0
+    assert "claim" in section
+    stopped = section["stopped"]
+    assert (stopped["pair"], stopped["side"], stopped["exit_code"]) == (1, "change", 3)
+    assert stopped["stderr_tail"] == ["first line", "run failed"]
+    assert "STOPPED at pair 1 change" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -57,14 +58,26 @@ class TestGlobalPool:
 
     def test_tail_chunk_shorter(self):
         values = np.arange(5 * 1 * 1, dtype=np.float32).reshape(5, 1, 1)
-        pools = global_pool(TokenTensor.from_array(values), window=2)
+        t = TokenTensor.from_array(values)
+        pools = global_pool(t, window=2)
         assert np.array_equal(pools, [[0.5], [0.5], [2.5], [2.5], [4.0]])  # lone tail frame
+        # A numpy integer is the plain int it equals, in every function taking a window.
+        grid = video_uniqueness(t, pools)
+        for window in (np.int64(2), np.int32(2)):
+            assert window_edges(5, window) == [(0, 2), (2, 4), (4, 5)]
+            assert {type(edge) for chunk in window_edges(5, window) for edge in chunk} == {int}
+            assert global_pool(t, window=window).tobytes() == pools.tobytes()
+            grids = sys.modules["vtcomp.compress"].score_windows(t, [window])
+            assert grids[2].tobytes() == grid.tobytes()
 
-    @pytest.mark.parametrize("window", [0, -1, 6, 100])
+    @pytest.mark.parametrize("window", [0, -1, 6, 100, np.int64(6), np.int32(0), True,
+                                        np.True_, 2.0, np.float64(2.0)])
     def test_window_out_of_range(self, window):
         t = TokenTensor.from_array(np.zeros((5, 2, 2), dtype=np.float32))
         with pytest.raises(WindowOutOfRangeError):
             global_pool(t, window=window)
+        with pytest.raises(WindowOutOfRangeError):
+            sys.modules["vtcomp.compress"].score_windows(t, [window])
 
     def test_the_2x2x2_pool(self):
         pools = global_pool(CASE)

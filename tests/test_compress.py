@@ -412,7 +412,11 @@ class TestCompress:
                                       np.array(ref["u_frame"]))
 
     @pytest.mark.parametrize("kernel", ["loaded", "numpy"])
-    @pytest.mark.parametrize("extra", [(3, 0), (0, 1)])  # (T+3, D'), then (T, D'+1)
+    # (frames added, channels added, form): a list holding a (T+3, D') or a
+    # (T, D'+1) matrix, a (P, T, D'+1) or (P, T+3, D') stack, and a bare
+    # (T, D') matrix passed where the P matrices go.
+    @pytest.mark.parametrize("extra", [(3, 0, "list"), (0, 1, "list"), (0, 1, "stack"),
+                                       (3, 0, "stack"), (0, 0, "bare")])
     def test_wrong_pool_shape_is_an_error_in_either_body(self, rng, monkeypatch,
                                                          kernel, extra):
         if kernel == "numpy":
@@ -422,8 +426,11 @@ class TestCompress:
         block = accum.transpose_tokens(values)
         good = rng.standard_normal((frames, dim))
         bad = rng.standard_normal((frames + extra[0], dim + extra[1]))
+        pools = {"list": [good, bad], "stack": np.stack([bad, bad]), "bare": good}[extra[2]]
         with pytest.raises(ShapeMismatchError):
-            accum.token_reductions(block, frames, tokens, [good, bad])
+            accum.token_reductions(block, frames, tokens, pools)
+        with pytest.raises(ShapeMismatchError):
+            accum.uniqueness_grids(values, pools)
 
     @staticmethod
     def _transpose_into(out):
@@ -510,6 +517,51 @@ class TestScaleInvariance:
         for name in ("video_score", "frame_score", "combined_score", "frame_uniqueness",
                      "frame_weight"):
             assert getattr(a.report, name).tobytes() == getattr(b.report, name).tobytes()
+
+
+class TestPermutation:
+    """Exact permutation properties of the scoring kernel, pools held fixed.
+
+    A token's grid entry reads only its own vector and its frame's row of
+    each pool matrix, so reordering the pool matrices, the tokens of a
+    frame or the frames (pool rows alongside) reorders the (P, T, M) grids
+    bit for bit, in either body.  End to end this is not exact: frame sums
+    add tokens in ascending order, so reordering tokens changes the pools.
+    """
+
+    @pytest.mark.parametrize("kernel", ["loaded", "numpy"])
+    @given(
+        frames=st.integers(1, 6),
+        tokens=st.one_of(st.integers(1, 40), st.sampled_from([511, 513])),
+        dim=st.integers(1, 70),
+        pools=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_permutations_permute_the_grids(self, kernel, frames, tokens, dim, pools,
+                                            seed):
+        lib = accum._lib if kernel == "loaded" else None
+
+        def score(values, rows):
+            return _with_lib(lib, accum.uniqueness_grids, values, rows)
+
+        rng = np.random.default_rng(seed)
+        values = _scaled(rng, (frames, tokens, dim), np.float32)
+        values[rng.random((frames, tokens)) < 0.1] = 0.0  # zero-norm tokens
+        rows = _scaled(rng, (pools, frames, dim), np.float64)
+        grids = score(values, list(rows))
+        assert grids.shape == (pools, frames, tokens)
+
+        order = rng.permutation(pools)
+        assert score(values, rows[order]).tobytes() == grids[order].tobytes()
+
+        order = np.argsort(rng.random((frames, tokens)), axis=1)  # one per frame
+        shuffled = np.take_along_axis(values, order[:, :, None], axis=1)
+        assert score(shuffled, rows).tobytes() == \
+            np.take_along_axis(grids, order[None], axis=2).tobytes()
+
+        order = rng.permutation(frames)
+        assert score(values[order], rows[:, order]).tobytes() == grids[:, order].tobytes()
 
 
 def _with_lib(lib, fn, *args, **kwargs):
