@@ -22,12 +22,12 @@ import numpy as np
 from . import accum
 from .budget import window_edges
 from .compress import (
-    CompressResult,
     combine_scores,
     compress,
     grid_key,
     score_windows,
     select_budgets,
+    select_mask,
     token_ranks,
 )
 from .errors import ConfigError, VtcompError
@@ -41,8 +41,10 @@ from .formats import (
 from .model import (
     Adjustment,
     Aggregation,
+    BudgetAllocation,
     RetentionConfig,
     ScoreMode,
+    ScoreReport,
     TokenTensor,
 )
 from .policies import POLICY_NAMES, Policy
@@ -201,10 +203,8 @@ def _cmd_gen(args) -> None:
           f"{tensor.dim} ({args.model}, seed {args.seed}, {size} bytes)")
 
 
-def _analyze_table(result: CompressResult) -> str:
+def _analyze_table(alloc: BudgetAllocation, report: ScoreReport) -> str:
     lines = [f"{'frame':>5} {'u_t':>12} {'sigma_t':>12} {'r_t':>12} {'k_t':>6}"]
-    alloc = result.allocation
-    report = result.report
     for t in range(alloc.frames):
         lines.append(
             f"{t:>5} {report.frame_uniqueness[t]:>12.6g} {report.frame_weight[t]:>12.6g} "
@@ -216,14 +216,16 @@ def _analyze_table(result: CompressResult) -> str:
 def _cmd_analyze(args) -> None:
     config = _config_from(args)  # reject bad flags before touching files
     tensor = read_vtok(args.input)
-    result = compress(tensor, config, threads=args.threads)
+    # compress's scoring and budget path, without gathering the kept rows
+    grids = score_windows(tensor, [1, config.window], threads=args.threads)
+    _, allocation, report = select_mask(config, grids)
     out = args.output if args.output else f"{args.input}.scores.csv"
     token_out = f"{out}.tokens.csv"
-    writes = [(out, lambda path: export_scores(result.report, result.allocation, path))]
+    writes = [(out, lambda path: export_scores(report, allocation, path))]
     if args.full:
-        writes.append((token_out, lambda path: export_token_scores(result.report, path)))
+        writes.append((token_out, lambda path: export_token_scores(report, path)))
     _write_together(writes)
-    print(_analyze_table(result))
+    print(_analyze_table(allocation, report))
     print(f"scores written to {out}")
     if args.full:
         print(f"token scores written to {token_out}")
@@ -285,6 +287,21 @@ def _default_windows(frames: int, base_window) -> list:
     return windows
 
 
+def _base_run(tensor: TokenTensor, base: RetentionConfig, threads: int
+              ) -> tuple[dict, np.ndarray]:
+    """The base run's grids for windows 1 and ``base.window``, and its keep mask.
+
+    Its ``compress`` result dies on return, so the kept rows it gathered
+    are freed before ablate scores any other window.
+    """
+    result = compress(tensor, base, threads=threads)
+    report, selection = result.report, result.selection
+    base_mask = np.zeros(report.combined_score.shape, dtype=bool)
+    base_mask[np.repeat(np.arange(selection.frames), selection.counts),
+              np.concatenate(selection.kept_indices)] = True
+    return {1: report.frame_score, base.window: report.video_score}, base_mask
+
+
 def _cmd_ablate(args) -> None:
     base = _config_from(args)
     tensor = read_vtok(args.input)
@@ -297,11 +314,7 @@ def _cmd_ablate(args) -> None:
     for window in windows:  # checked before any scoring
         window_edges(tensor.frames, window)
     # The base run scores windows 1 and base.window, one more pass the rest.
-    result = compress(tensor, base, threads=args.threads)
-    base_mask = np.zeros(result.report.combined_score.shape, dtype=bool)
-    for row, kept in zip(base_mask, result.selection.kept_indices):
-        row[kept] = True
-    grids = {1: result.report.frame_score, base.window: result.report.video_score}
+    grids, base_mask = _base_run(tensor, base, args.threads)
     missing = [window for window in windows if window not in grids]
     if missing:
         grids.update(score_windows(tensor, missing, threads=args.threads))

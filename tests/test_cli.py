@@ -13,6 +13,8 @@ from vtcomp import accum
 from vtcomp import (Adjustment, Aggregation, RetentionConfig, ScoreMode, TokenTensor,
                     compress, read_vtok, write_vtok)
 from vtcomp.cli import _config_from, _threads_value, build_parser, main
+from vtcomp.formats import export_scores, export_token_scores
+from vtcomp.model import CompressedSelection
 from vtcomp.policies import POLICY_NAMES, Policy
 
 
@@ -100,6 +102,37 @@ class TestAnalyze:
         k = [int(r[4]) for r in rows]
         assert max(range(8), key=lambda i: u[i]) == 5
         assert max(range(8), key=lambda i: k[i]) == 5
+
+
+    @pytest.mark.parametrize("shape, window", [((6, 8, 5), "global"), ((12, 10, 7), "4")])
+    def test_csvs_equal_the_exports_of_compress(self, capsys, tmp_path, shape, window):
+        frames, tokens, dim = shape
+        path = gen(capsys, tmp_path, frames=frames, tokens=tokens, dim=dim,
+                   model="outlier", outlier=frames // 2, noise=0.2, seed=frames)
+        config = RetentionConfig(window=window if window == "global" else int(window))
+        result = compress(read_vtok(path), config)
+        export_scores(result.report, result.allocation, tmp_path / "want.csv")
+        export_token_scores(result.report, tmp_path / "want.tokens.csv")
+        out_csv = tmp_path / "s.csv"
+        code, _, err = run(capsys, "analyze", "-i", str(path), "-o", str(out_csv),
+                           "--full", "--window", window)
+        assert code == 0, err
+        assert out_csv.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "s.csv.tokens.csv").read_bytes() == \
+            (tmp_path / "want.tokens.csv").read_bytes()
+
+    def test_never_gathers_rows(self, capsys, tmp_path, monkeypatch):
+        path = gen(capsys, tmp_path, frames=8, tokens=12, dim=6)
+        code, before, err = run(capsys, "analyze", "-i", str(path), "--full")
+        assert code == 0, err
+
+        def gather(*args):
+            raise AssertionError("analyze gathered the kept rows")
+
+        monkeypatch.setattr(CompressedSelection, "from_mask", gather)
+        code, after, err = run(capsys, "analyze", "-i", str(path), "--full")
+        assert code == 0, err
+        assert after == before
 
 
 class TestCompress:

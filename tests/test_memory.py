@@ -1,26 +1,33 @@
-"""Peak memory of the .vtok read and of ``vtcomp compress``, against the payload.
+"""Peak memory of the .vtok read, ``vtcomp compress`` and ``vtcomp ablate``.
 
-Each case runs in a child process, which reports how far its high-water
-RSS (``VmHWM``) rose past its resident size after the import.  The input
-is about 50 MB, large enough that the payload dominates that rise.  The
-child's ``ru_maxrss`` would not do: Linux carries the high-water mark of
-the process that started a child across its exec, so it can read the size
-of the test process instead.
+The read and compress cases run in a child process, which reports how far
+its high-water RSS (``VmHWM``) rose past its resident size after the
+import.  The input is about 50 MB, large enough that the payload dominates
+that rise.  The child's ``ru_maxrss`` would not do: Linux carries the
+high-water mark of the process that started a child across its exec, so it
+can read the size of the test process instead.  The ablate case reads the
+``tracemalloc`` peak of an in-process run, which counts numpy's buffers.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vtcomp
+from vtcomp import cli
 from vtcomp.formats import HEADER, MAGIC, VERSION
 
 SHAPE = (32, 196, 2048)
 PAYLOAD = 4 * SHAPE[0] * SHAPE[1] * SHAPE[2]
+# Many frames of few tokens: the extra scoring pass's temporaries are a
+# clear share of the payload.
+ABLATE_SHAPE = (128, 64, 896)
+ABLATE_PAYLOAD = 4 * ABLATE_SHAPE[0] * ABLATE_SHAPE[1] * ABLATE_SHAPE[2]
 
 CHILD = """
 import sys
@@ -46,15 +53,18 @@ pytestmark = [
 ]
 
 
-@pytest.fixture(scope="module")
-def wide_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("memory") / "wide.vtok"
+def random_file(path, shape):
     rng = np.random.default_rng(0)
     with open(path, "wb") as fh:  # frame by frame, so this process stays small
-        fh.write(HEADER.pack(MAGIC, VERSION, *SHAPE))
-        for _ in range(SHAPE[0]):
-            fh.write(rng.standard_normal(SHAPE[1:], dtype=np.float32).tobytes())
+        fh.write(HEADER.pack(MAGIC, VERSION, *shape))
+        for _ in range(shape[0]):
+            fh.write(rng.standard_normal(shape[1:], dtype=np.float32).tobytes())
     return path
+
+
+@pytest.fixture(scope="module")
+def wide_file(tmp_path_factory):
+    return random_file(tmp_path_factory.mktemp("memory") / "wide.vtok", SHAPE)
 
 
 def growth(*argv) -> int:
@@ -73,3 +83,18 @@ def test_compress_frees_the_input_before_padding(wide_file, tmp_path):
     out = tmp_path / "c.vtok"
     assert growth("compress", wide_file, out) <= 1.45 * PAYLOAD
     assert out.stat().st_size > HEADER.size
+
+
+def test_ablate_frees_the_base_rows_before_the_extra_pass(tmp_path):
+    # The base compress keeps a quarter of the rows at the default ratio.
+    # Held through the pass that scores the other windows, they put the
+    # peak at about 1.43x the payload; freed first, it is the input plus one
+    # kept-row copy, reached at the base run's gather.
+    path = random_file(tmp_path / "ablate.vtok", ABLATE_SHAPE)
+    tracemalloc.start()
+    try:
+        assert cli.main(["ablate", "-i", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.32 * ABLATE_PAYLOAD
