@@ -177,7 +177,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="JSON file to add the section to")
     parser.add_argument("--section", help="section name (default: the workload)")
     parser.add_argument("--note", default="", help="note stored with the section")
-    parser.add_argument("--claim", help="end-to-end metric this section claims a gain on")
+    parser.add_argument("--claim", help="end-to-end metric this section claims a gain on "
+                        "(one the change's BENCHMARK.json declares)")
     parser.add_argument("--previous", type=Path, help="earlier JSON file to compare with")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -185,6 +186,9 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     section_name = args.section or args.workload
     better_of, bounds = directions(checkouts["change"])
+    if args.claim is not None and args.claim not in bounds:
+        parser.error(f"--claim {args.claim!r} is not an end-to-end metric of the change's "
+                     f"BENCHMARK.json: {', '.join(bounds)}")
 
     runs, stopped = run_pairs(checkouts, args, bounds)
     # Medians and the verdict read complete pairs only; a stopped run's

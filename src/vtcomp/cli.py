@@ -22,6 +22,7 @@ import numpy as np
 from . import accum
 from .budget import window_edges
 from .compress import (
+    budget_key,
     combine_scores,
     compress,
     grid_key,
@@ -272,11 +273,6 @@ def _write_together(writes) -> None:
         raise
 
 
-def _budget_key(agg: Aggregation, adj: Adjustment, window):
-    """Uniform budgets ignore the aggregation and the window."""
-    return (agg, window) if adj is Adjustment.ADAPTIVE else adj
-
-
 def _default_windows(frames: int, base_window) -> list:
     windows = [base_window]
     for w in (frames // 2, frames // 4):
@@ -285,21 +281,6 @@ def _default_windows(frames: int, base_window) -> list:
     if "global" not in windows:
         windows.insert(0, "global")
     return windows
-
-
-def _base_run(tensor: TokenTensor, base: RetentionConfig, threads: int
-              ) -> tuple[dict, np.ndarray]:
-    """The base run's grids for windows 1 and ``base.window``, and its keep mask.
-
-    Its ``compress`` result dies on return, so the kept rows it gathered
-    are freed before ablate scores any other window.
-    """
-    result = compress(tensor, base, threads=threads)
-    report, selection = result.report, result.selection
-    base_mask = np.zeros(report.combined_score.shape, dtype=bool)
-    base_mask[np.repeat(np.arange(selection.frames), selection.counts),
-              np.concatenate(selection.kept_indices)] = True
-    return {1: report.frame_score, base.window: report.video_score}, base_mask
 
 
 def _cmd_ablate(args) -> None:
@@ -314,53 +295,44 @@ def _cmd_ablate(args) -> None:
     for window in windows:  # checked before any scoring
         window_edges(tensor.frames, window)
     # The base run scores windows 1 and base.window, one more pass the rest.
-    grids, base_mask = _base_run(tensor, base, args.threads)
-    missing = [window for window in windows if window not in grids]
-    if missing:
-        grids.update(score_windows(tensor, missing, threads=args.threads))
+    # Its result dies on this line, so its kept rows are freed before that pass.
+    report = compress(tensor, base, threads=args.threads).report
+    grids = {1: report.frame_score, base.window: report.video_score}
+    grids.update(score_windows(tensor, [w for w in windows if w not in grids],
+                               threads=args.threads))
 
     # Aggregation and adjustment change only the counts and the score mode
-    # only the ranking, so each distinct budget and grid is built once.
-    budgets = {}
-    shared = {}  # grid key -> the budget keys of the cells that rank that grid
-    cells = []
-    for mode in ScoreMode:
-        for agg in Aggregation:
-            for adj in Adjustment:
-                for window in windows:
-                    grid, budget = grid_key(mode, window), _budget_key(agg, adj, window)
-                    if budget not in budgets:
-                        budgets[budget] = select_budgets(
-                            replace(base, window=window, adjustment=adj, frame_aggregation=agg),
-                            grids)[0]
-                    shared.setdefault(grid, {})[budget] = None
-                    cells.append((mode, agg, adj, window, grid, budget))
+    # only the ranking, so each distinct budget and grid is built once, and
+    # each cell, the base included, is its ranking cut at its budget.
+    cells = [(mode, agg, adj, window) for mode in ScoreMode for agg in Aggregation
+             for adj in Adjustment for window in windows]
+    budgets = {key: select_budgets(replace(base, frame_aggregation=key[0], adjustment=key[1],
+                                           window=key[2]), grids)[0]
+               for key in dict.fromkeys(budget_key(agg, adj, w) for _, agg, adj, w in cells)}
+    ranks = {key: token_ranks(combine_scores(grids[1], grids[key[1]], key[0],
+                                             base.alpha, base.beta))
+             for key in dict.fromkeys(grid_key(mode, w) for mode, _, _, w in cells)}
 
-    # One broadcast cuts a ranking at all its count vectors.  A mask keeps
-    # exactly its counts, so its union with the base is both sizes less
-    # their overlap, and one count_nonzero gives every overlap.
+    def cut(mode, agg, adj, window):
+        allocation = budgets[budget_key(agg, adj, window)]
+        return allocation, ranks[grid_key(mode, window)] < allocation.per_frame_count[:, None]
+
+    # A mask keeps exactly its counts, so its union with the base is both
+    # sizes less their overlap.
+    base_mask = cut(base.score_mode, base.frame_aggregation, base.adjustment, base.window)[1]
     base_kept = int(np.count_nonzero(base_mask))
-    jaccard = {}
-    for grid, keys in shared.items():
-        mode, window = grid
-        ranks = token_ranks(combine_scores(grids[1], grids[window], mode,
-                                           base.alpha, base.beta))
-        counts = np.stack([budgets[key].per_frame_count for key in keys])
-        overlap = np.count_nonzero((ranks[None] < counts[:, :, None]) & base_mask, axis=(1, 2))
-        for key, kept, inter in zip(keys, counts.sum(axis=1).tolist(), overlap.tolist()):
-            union = kept + base_kept - inter
-            jaccard[grid, key] = inter / union if union else 1.0
-
     header = "score_mode,aggregation,adjustment,window,total_kept,budget_spread,jaccard_vs_default"
     rows = []
-    for mode, agg, adj, window, grid, budget in cells:
-        allocation = budgets[budget]
+    for mode, agg, adj, window in cells:
+        allocation, mask = cut(mode, agg, adj, window)
         counts = allocation.per_frame_count
+        overlap = int(np.count_nonzero(mask & base_mask))
+        union = allocation.total_kept + base_kept - overlap
         rows.append(
             f"{mode.value},{agg.value},{adj.value},{window},"
             f"{allocation.total_kept},"
             f"{int(counts.max() - counts.min())},"
-            f"{jaccard[grid, budget]:.6g}"
+            f"{overlap / union if union else 1.0:.6g}"
         )
     text = "\n".join([header] + rows) + "\n"
     if args.output:

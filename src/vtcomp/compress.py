@@ -7,8 +7,10 @@ runs both stages end to end and returns every intermediate artifact.
 Ranking and counting are separate steps: ``token_ranks`` ranks a grid once
 and ``keep_top`` cuts that ranking at any count vector, so a caller that
 varies budgets and score modes over a few windows can call
-``score_windows`` once, ``select_budgets`` once per distinct budget and
-``token_ranks`` once per distinct combined grid, as ``grid_key`` names it.
+``score_windows`` once, ``select_budgets`` once per distinct budget, as
+``budget_key`` names it, and ``token_ranks`` once per distinct combined
+grid, as ``grid_key`` names it; each config's keep mask is then its
+ranking cut at its counts.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .budget import (
 from .errors import ConfigError, KExceedsMError, ShapeMismatchError
 from .model import (
     Adjustment,
+    Aggregation,
     BudgetAllocation,
     CompressedSelection,
     RetentionConfig,
@@ -94,6 +97,19 @@ def grid_key(mode: ScoreMode, window) -> tuple:
     return mode, window
 
 
+def budget_key(aggregation: Aggregation, adjustment: Adjustment, window) -> tuple:
+    """The (aggregation, adjustment, window) whose budgets equal this one's, bit for bit.
+
+    Of the configs that differ only in these three fields, ``select_budgets``
+    reads the aggregation and the window only for adaptive budgets: uniform
+    budgets keep the preset ratio in every frame, so every uniform config
+    gets the budgets of the mean-aggregated uniform config at window 1.
+    """
+    if adjustment is Adjustment.ADAPTIVE:
+        return aggregation, adjustment, window
+    return Aggregation.MEAN, Adjustment.UNIFORM, 1
+
+
 def token_ranks(grid) -> np.ndarray:
     """Each token's position in its row's stable descending order: (T, M).
 
@@ -153,13 +169,16 @@ def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
     of one pool matrix per window, then one ``uniqueness_grids`` call; its
     (P, T, M) rows are the windows' grids.  Window 1 pools each frame alone,
     so its grid is the frame level.  Each grid is bit-identical to the one a
-    single-window call gives; every window is validated before any work.
+    single-window call gives; every window is validated before any work,
+    and an empty list gives ``{}`` without a scoring pass.
     """
-    values = np.ascontiguousarray(tensor.values, dtype=np.float32)  # one copy for both passes
-    frames, tokens, dim = values.shape
     windows = list(dict.fromkeys(windows))
     for window in windows:  # every window is checked before any work
-        window_edges(frames, window)
+        window_edges(tensor.frames, window)
+    if not windows:
+        return {}
+    values = np.ascontiguousarray(tensor.values, dtype=np.float32)  # one copy for both passes
+    frames, tokens, dim = values.shape
 
     frame_sums = np.zeros((frames, dim), dtype=np.float64)
 

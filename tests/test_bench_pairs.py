@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 
 
@@ -77,12 +79,17 @@ print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
 """
 
 
-def test_failed_run_stops_the_pairs_and_keeps_the_finished_runs(tmp_path, capsys):
-    spec = {"end_to_end": [{"name": "op_ms.p50", "better": "lower", "bound": 0.25}]}
+def fake_checkouts(tmp_path):
+    spec = {"end_to_end": [{"name": "op_ms.p50", "better": "lower", "bound": 0.25}],
+            "per_layer": [{"name": "compress.compress.ms", "better": "lower"}]}
     for side in ("parent", "change"):
         (tmp_path / side / "vtbench").mkdir(parents=True)
         (tmp_path / side / "vtbench" / "run.py").write_text(FAKE_RUN)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+
+
+def test_failed_run_stops_the_pairs_and_keeps_the_finished_runs(tmp_path, capsys):
+    fake_checkouts(tmp_path)
     out = tmp_path / "BENCH.json"
 
     code = load().main(["--parent", str(tmp_path / "parent"), "--change",
@@ -101,3 +108,18 @@ def test_failed_run_stops_the_pairs_and_keeps_the_finished_runs(tmp_path, capsys
     assert (stopped["pair"], stopped["side"], stopped["exit_code"]) == (1, "change", 3)
     assert stopped["stderr_tail"] == ["first line", "run failed"]
     assert "STOPPED at pair 1 change" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("claim", ["op_ms_p50", "compress.compress.ms"])
+def test_unknown_claim_is_a_usage_error_before_any_run(tmp_path, capsys, claim):
+    # A typo, and a per-layer metric, which has no bound to judge a claim by.
+    fake_checkouts(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        load().main(["--parent", str(tmp_path / "parent"), "--change",
+                     str(tmp_path / "change"), "--workload", "w", "--pairs", "3",
+                     "--seconds", "1", "--out", str(tmp_path / "BENCH.json"),
+                     "--claim", claim])
+    assert exc.value.code == 2
+    assert f"--claim '{claim}'" in capsys.readouterr().err
+    assert not any((tmp_path / side / "calls").exists() for side in ("parent", "change"))
+    assert not (tmp_path / "BENCH.json").exists()

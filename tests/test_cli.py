@@ -398,8 +398,8 @@ class TestAblate:
         assert {c[3] for c in cells} == {"global", "2"}
 
     def test_each_grid_ranked_once_per_selection(self, capsys, tmp_path, monkeypatch):
-        # One ranking per distinct grid plus the base compress, whose kept
-        # indices are the base mask.  combined, video_only and
+        # One ranking per distinct grid plus the base compress's own; the
+        # base mask is the base cell's cut of its grid's ranking.  combined, video_only and
         # positive_video rank one grid per window; frame_only and
         # positive_frame one grid each, the video modes' grids at window 1.
         # The 8-frame default sweep has the windows of the 128-frame
@@ -431,6 +431,31 @@ class TestAblate:
             distinct = 3 * len(windows) + 2 - 2 * ("1" in windows)
             assert len(calls) == distinct + 1 == rankings
             assert after == out
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--window", "2", "--score-mode", "positive_frame", "--adjustment", "uniform",
+         "--aggregation", "max"],
+        ["--window", "4", "--score-mode", "video_only", "--aggregation", "max"],
+    ])
+    def test_never_reads_the_base_selection(self, capsys, tmp_path, monkeypatch, flags):
+        src = gen(capsys, tmp_path, frames=8, tokens=6, dim=4, model="outlier", outlier=2,
+                  noise=0.3, seed=4)
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        code, _, err = run(capsys, "ablate", "-i", str(src), "-o", str(want), *flags)
+        assert code == 0, err
+        real = vtcomp.cli.compress
+        monkeypatch.setattr(vtcomp.cli, "compress",
+                            lambda *args, **kw: real(*args, **kw)._replace(selection=None))
+        code, _, err = run(capsys, "ablate", "-i", str(src), "-o", str(got), *flags)
+        assert code == 0, err
+        assert got.read_bytes() == want.read_bytes()
+        # The base cell is the base config's own cut: Jaccard 1 against itself.
+        parsed = build_parser().parse_args(["ablate", "-i", "x", *flags])
+        cell = [parsed.score_mode, parsed.frame_aggregation, parsed.adjustment,
+                str(parsed.window)]
+        rows = [line.split(",") for line in want.read_text().splitlines()[1:]]
+        assert [float(r[6]) for r in rows if r[:4] == cell] == [1.0]
 
     def test_out_of_range_window_scores_nothing(self, capsys, tmp_path, pools_scored):
         src = gen(capsys, tmp_path, frames=4, tokens=6, dim=4)

@@ -5,6 +5,7 @@ import platform
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,31 @@ class TestCombineScores:
             want = combine_scores(grids[1], grids[window], mode, 0.5, 2.0)
             assert got.tobytes() == want.tobytes()
 
+    def test_budget_key_names_bit_identical_budgets(self, rng):
+        module = sys.modules["vtcomp.compress"]
+        values = rng.standard_normal((4, 6, 5)).astype(np.float32)
+        values[1] += 2.0  # one frame apart, so the budgets are not all equal
+        windows = [1, 2, "global"]
+        grids = module.score_windows(TokenTensor.from_array(values), windows)
+        base = RetentionConfig(ratio=0.4, temperature=0.05)
+        budgets = {}
+        for agg in Aggregation:
+            for adj in Adjustment:
+                for window in windows:
+                    key = module.budget_key(agg, adj, window)
+                    got = module.select_budgets(replace(
+                        base, frame_aggregation=key[0], adjustment=key[1], window=key[2]),
+                        grids)[0]
+                    want = module.select_budgets(replace(
+                        base, frame_aggregation=agg, adjustment=adj, window=window), grids)[0]
+                    assert got.per_frame_ratio.tobytes() == want.per_frame_ratio.tobytes()
+                    assert got.per_frame_count.tobytes() == want.per_frame_count.tobytes()
+                    budgets[key] = want.per_frame_ratio.tobytes()
+        # One key per adaptive (aggregation, window), one for all uniform
+        # configs; and the adaptive budgets differ here, so no key may merge them.
+        assert len(budgets) == len(Aggregation) * len(windows) + 1
+        assert len(set(budgets.values())) == len(budgets)
+
     def test_constant_scores_fall_to_tie_break(self):
         values = np.tile(np.array([1.0, 1.0], dtype=np.float32), (1, 6, 1))
         t = TokenTensor.from_array(values)
@@ -161,6 +187,14 @@ class TestTopkSelect:
 
 
 class TestCompress:
+    def test_no_windows_score_nothing(self, monkeypatch):
+        def scored(*args):
+            raise AssertionError("an empty window list ran a scoring pass")
+
+        monkeypatch.setattr(accum, "frame_token_sums", scored)
+        monkeypatch.setattr(accum, "uniqueness_grids", scored)
+        assert sys.modules["vtcomp.compress"].score_windows(CASE, []) == {}
+
     def test_full_ratio_uniform_keeps_everything(self, rng):
         values = rng.standard_normal((3, 5, 4)).astype(np.float32)
         t = TokenTensor.from_array(values)
