@@ -12,8 +12,12 @@ Each pair runs ``python3 <checkout>/vtbench/run.py --workload W --seed S
 --seconds T --trace X`` once per checkout, one run at a time; even pairs
 run the parent first, odd pairs the change first.  For every metric a run
 prints, the section records each side's median, quartiles (inclusive
-method) and range, and in how many pairs the change was better (the
-direction comes from the change's BENCHMARK.json).
+method) and range.  For each metric the change's BENCHMARK.json declares,
+it also records in how many pairs the change was better, and the same
+summary of each pair's change/parent ratio (``pair_ratio``, over the pairs
+whose parent value is not 0).  The verdict line prints the median ratio:
+when the host changes speed between pairs, the two runs of a pair still
+share a speed, so that median moves less than the side medians.
 
 For each end-to-end metric it prints the pairs rule: a gain holds when the
 change is better in at least 9 of every 10 pairs and its median beats the
@@ -124,9 +128,11 @@ def verdict(name: str, stats: dict, direction: str, bound: float | None, pairs: 
     wins = stats["change_better_pairs"]
     rel = (change["median"] / parent["median"] - 1) * 100 if parent["median"] else 0.0
     holds = wins >= math.ceil(0.9 * pairs) and gap > spread
+    ratio = (f", median pair ratio {stats['pair_ratio']['median']:.4g}"
+             if "pair_ratio" in stats else "")
     text = (f"{name}: parent {parent['median']:.6g} [{parent['q1']:.6g}-{parent['q3']:.6g}]"
             f" -> change {change['median']:.6g} [{change['q1']:.6g}-{change['q3']:.6g}]"
-            f" ({rel:+.1f}%), change better in {wins}/{pairs} pairs,"
+            f" ({rel:+.1f}%){ratio}, change better in {wins}/{pairs} pairs,"
             f" gain {gap:.6g} vs parent spread {spread:.6g}:"
             f" gain {'holds' if holds else 'not shown'}")
     if bound is None:
@@ -202,9 +208,11 @@ def main(argv=None) -> int:
         side_values = {s: [r[name] for r in paired if r["side"] == s] for s in SIDES}
         stats = {s: summary(v) for s, v in side_values.items()}
         if name in better_of:
-            stats["change_better_pairs"] = sum(
-                better(c, p, better_of[name])
-                for p, c in zip(side_values["parent"], side_values["change"]))
+            both = list(zip(side_values["parent"], side_values["change"]))
+            stats["change_better_pairs"] = sum(better(c, p, better_of[name]) for p, c in both)
+            ratios = [c / p for p, c in both if p]
+            if ratios:
+                stats["pair_ratio"] = summary(ratios)
         metrics[name] = stats
 
     print(f"\n{section_name}: {args.workload}, seed {args.seed}, {args.seconds:g} s, "

@@ -26,6 +26,7 @@ from .compress import (
     combine_scores,
     compress,
     grid_key,
+    keep_top,
     score_windows,
     select_budgets,
     select_mask,
@@ -315,7 +316,7 @@ def _cmd_ablate(args) -> None:
 
     def cut(mode, agg, adj, window):
         allocation = budgets[budget_key(agg, adj, window)]
-        return allocation, ranks[grid_key(mode, window)] < allocation.per_frame_count[:, None]
+        return allocation, keep_top(ranks[grid_key(mode, window)], allocation.per_frame_count)
 
     # A mask keeps exactly its counts, so its union with the base is both
     # sizes less their overlap.

@@ -4,13 +4,13 @@ Builds on stage 1: tokens are scored against their own frame's mean and the
 video-level pool, the two uniqueness scores combine into one ranking, and
 each frame keeps its budgeted top-k tokens in original order.  ``compress``
 runs both stages end to end and returns every intermediate artifact.
-Ranking and counting are separate steps: ``token_ranks`` ranks a grid once
-and ``keep_top`` cuts that ranking at any count vector, so a caller that
-varies budgets and score modes over a few windows can call
-``score_windows`` once, ``select_budgets`` once per distinct budget, as
-``budget_key`` names it, and ``token_ranks`` once per distinct combined
-grid, as ``grid_key`` names it; each config's keep mask is then its
-ranking cut at its counts.
+Ranking and counting are separate steps, and ``keep_top(ranks, counts)`` is
+the one cut from a ranking and per-frame counts to a keep mask: for
+``select_mask`` (through ``topk_select``), the random policy and each
+``ablate`` cell.  So a caller that varies budgets and score modes over a few
+windows calls ``score_windows`` once, ``select_budgets`` once per distinct
+budget (``budget_key``) and ``token_ranks`` once per distinct combined grid
+(``grid_key``), then cuts each config's ranking at its counts.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ def token_ranks(grid) -> np.ndarray:
 def keep_top(ranks: np.ndarray, counts) -> np.ndarray:
     """The (T, M) keep mask of the ``counts[t]`` best-ranked tokens of row t.
 
-    ``ranks`` comes from :func:`token_ranks`, so one ranking serves any
-    number of count vectors.  Counts must have shape ``(T,)`` and lie in
+    Row t of ``ranks`` places each token, 0 first, so one ranking serves
+    any number of count vectors.  Counts must have shape ``(T,)`` and lie in
     0..M.  A bool count, or a float count that is not whole (NaN
     included), is a ``ConfigError``, as in ``int_at_least``.
     """

@@ -1,11 +1,11 @@
 """Reference selection policies sharing one interface for head-to-head runs.
 
 Each policy resolves to one ``RetentionConfig`` when built (``uniform`` and
-``random`` take uniform budgets), then ``random`` keeps seeded random tokens
-and the others rank them with :func:`compress`.  Policies are attention-free:
-they read only the token tensor, never model internals.  Each is pure given
-(input, seed) and emits the same ascending-index, exact-copy selections as
-the main pipeline.
+``random`` take uniform budgets), then ranks tokens, ``random`` by a seeded
+permutation and the others with :func:`compress`, and cuts with ``keep_top``.
+Policies are attention-free: they read only the token tensor, never model
+internals.  Each is pure given (input, seed) and emits the same
+ascending-index, exact-copy selections as the main pipeline.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .budget import allocate_uniform
-from .compress import compress
+from .compress import compress, keep_top
 from .errors import ConfigError
 from .model import Adjustment, CompressedSelection, RetentionConfig, TokenTensor, int_at_least
 
@@ -60,10 +60,9 @@ class Policy:
         counts = allocate_uniform(frames, self.config.ratio, tokens,
                                   self.config.min_tokens_per_frame).per_frame_count
         rng = np.random.Generator(np.random.PCG64(self.seed))
-        keep = np.zeros((frames, tokens), dtype=bool)
-        for row, count in zip(keep, counts):
-            row[rng.permutation(tokens)[:count]] = True
-        return CompressedSelection.from_mask(tensor.values, keep)
+        # A token's rank is its place in its frame's permutation.
+        ranks = np.argsort([rng.permutation(tokens) for _ in range(frames)], axis=1)
+        return CompressedSelection.from_mask(tensor.values, keep_top(ranks, counts))
 
 
 def random_drop(tensor: TokenTensor, ratio: float, seed: int) -> CompressedSelection:

@@ -79,12 +79,24 @@ print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
 """
 
 
-def fake_checkouts(tmp_path):
+# A stand-in on a host that slows down: every run reads 1.0 until the fifth
+# run of both checkouts together, then 2.0.
+STEP_RUN = """
+import json, pathlib
+clock = pathlib.Path("..", "clock")
+n = int(clock.read_text()) + 1 if clock.exists() else 1
+clock.write_text(str(n))
+print(json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                  "metrics": {"op_ms.p50": {"value": 1.0 if n <= 5 else 2.0}}}))
+"""
+
+
+def fake_checkouts(tmp_path, run=FAKE_RUN):
     spec = {"end_to_end": [{"name": "op_ms.p50", "better": "lower", "bound": 0.25}],
             "per_layer": [{"name": "compress.compress.ms", "better": "lower"}]}
     for side in ("parent", "change"):
         (tmp_path / side / "vtbench").mkdir(parents=True)
-        (tmp_path / side / "vtbench" / "run.py").write_text(FAKE_RUN)
+        (tmp_path / side / "vtbench" / "run.py").write_text(run)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
 
 
@@ -123,3 +135,22 @@ def test_unknown_claim_is_a_usage_error_before_any_run(tmp_path, capsys, claim):
     assert f"--claim '{claim}'" in capsys.readouterr().err
     assert not any((tmp_path / side / "calls").exists() for side in ("parent", "change"))
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_pair_ratio_reads_through_a_step_inside_one_pair(tmp_path, capsys):
+    fake_checkouts(tmp_path, STEP_RUN)
+    out = tmp_path / "BENCH.json"
+
+    code = load().main(["--parent", str(tmp_path / "parent"), "--change",
+                        str(tmp_path / "change"), "--workload", "w", "--pairs", "5",
+                        "--seconds", "1", "--out", str(out)])
+
+    # Pair 2 runs the parent fifth, at 1.0, and the change sixth, at 2.0: the
+    # parent reads 1 1 1 2 2 and the change 1 1 2 2 2, so the medians differ,
+    # while four of the five pairs read a ratio of 1.
+    assert code == 0
+    metric = json.loads(out.read_text())["w"]["metrics"]["op_ms.p50"]
+    assert (metric["parent"]["median"], metric["change"]["median"]) == (1.0, 2.0)
+    assert metric["pair_ratio"]["median"] == 1.0
+    assert metric["pair_ratio"]["max"] == 2.0
+    assert "(+100.0%), median pair ratio 1, change better in 0/5" in capsys.readouterr().out

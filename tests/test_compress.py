@@ -1,4 +1,8 @@
+import contextlib
 import ctypes
+import hashlib
+import io
+import json
 import math
 import os
 import platform
@@ -13,22 +17,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtcomp import accum
+from vtcomp import accum, cli
 from vtcomp import (
     Adjustment,
     Aggregation,
     KExceedsMError,
+    Policy,
     RetentionConfig,
     ScoreMode,
     ShapeMismatchError,
+    SyntheticSpec,
     TokenTensor,
     combine_scores,
     compress,
     frame_pool,
     frame_token_uniqueness,
+    generate,
     global_pool,
     topk_select,
     video_uniqueness,
+    write_vtok,
 )
 
 from oracle import reference_compress, tensor_to_lists
@@ -749,6 +757,38 @@ class TestCompiledKernels:
         for matrix, grid in zip(rows, grids):
             assert grid.tobytes() == accum.uniqueness_grids(values, [matrix])[0].tobytes()
 
+    @pytest.mark.skipif(accum.KERNEL != "c", reason="compiled kernel not loaded")
+    @given(
+        frames=st.integers(1, 11),
+        tokens=st.integers(1, 29),
+        dim=st.integers(1, 79),
+        pools=st.integers(1, 4),
+        threads=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_loop_matches_one_block_per_chunk(self, baseline_lib, frames, tokens,
+                                                    dim, pools, threads, seed):
+        # A compiled worker walks its chunk in blocks of _BLOCK_BYTES, with a
+        # short last block; the numpy body takes the whole chunk as one.
+        # Blocks of one frame, two frames and the whole chunk must all give
+        # its bytes.  _BLOCK_BYTES is restored here: hypothesis rejects a
+        # function-scoped monkeypatch.
+        rng = np.random.default_rng(seed)
+        values = _scaled(rng, (frames, tokens, dim), np.float32)
+        rows = _scaled(rng, (pools, frames, dim), np.float64)
+        expected = _numpy_body(accum.uniqueness_grids, values, rows, threads).tobytes()
+        frame_bytes = 4 * tokens * dim
+        default = accum._BLOCK_BYTES
+        try:
+            for size in (1, frame_bytes, 2 * frame_bytes + 3, 1 << 20):
+                accum._BLOCK_BYTES = size
+                for lib in (accum._lib, baseline_lib):
+                    got = _with_lib(lib, accum.uniqueness_grids, values, rows, threads)
+                    assert got.tobytes() == expected, (size, lib)
+        finally:
+            accum._BLOCK_BYTES = default
+
     @pytest.mark.parametrize("broken", ["no-compiler", "unusable-cache"])
     def test_fallback_gives_identical_bytes(self, broken, tmp_path):
         package = Path(accum.__file__).parent
@@ -771,3 +811,64 @@ class TestCompiledKernels:
         assert not list(copy.glob("**/*.so"))
         _, reference = digest(dict(os.environ, PYTHONPATH=str(package.parent)))
         assert fallback == reference
+
+
+# Real-width inputs, one per redundancy model, so the budgets spread.  At
+# these sizes a 1 MiB block holds at most one frame, so every scoring pass
+# walks several blocks.
+REAL_WIDTH_SPECS = {
+    "4x196x3584": SyntheticSpec(4, 196, 3584, model="clustered", num_clusters=2,
+                                noise_sigma=0.5, seed=1),
+    "4x64x896": SyntheticSpec(4, 64, 896, model="outlier", outlier_index=2,
+                              noise_sigma=0.5, seed=2),
+    "2x576x1024": SyntheticSpec(2, 576, 1024, model="iid", seed=3),
+}
+REAL_WIDTH_DIGESTS = Path(__file__).with_name("real_width_digests.json")
+
+
+def _sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def real_width_digests(tmp_path: Path) -> dict:
+    """sha256 of every output at real widths, keyed by shape and config.
+
+    Each score mode at windows 1, 2 and global hashes the five report
+    arrays, the ratios and counts, the kept indices and the kept rows; one
+    seeded random policy selection per shape hashes its kept indices and
+    rows; and the default ``ablate`` matrix at 4x64x896 hashes its CSV.
+    ``real_width_digests.json`` holds this dict as made by the tree before
+    the random policy and ablate cut through ``keep_top``.
+    """
+    digests = {}
+    for name, spec in REAL_WIDTH_SPECS.items():
+        tensor = generate(spec)
+        for mode in ScoreMode:
+            for window in (1, 2, "global"):
+                r = compress(tensor, RetentionConfig(window=window, score_mode=mode))
+                digests[f"{name} {mode.value} {window}"] = _sha256((
+                    *vars(r.report).values(), r.allocation.per_frame_ratio,
+                    r.allocation.per_frame_count, *r.selection.kept_indices,
+                    *r.selection.compressed))
+        kept = Policy("random", RetentionConfig(ratio=0.1, min_tokens_per_frame=8),
+                      seed=spec.seed).run(tensor)
+        digests[f"{name} random"] = _sha256((*kept.kept_indices, *kept.compressed))
+    source, matrix = tmp_path / "4x64x896.vtok", tmp_path / "ablate.csv"
+    write_vtok(generate(REAL_WIDTH_SPECS["4x64x896"]), source)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["ablate", "-i", str(source), "-o", str(matrix)]) == 0
+    digests["4x64x896 ablate"] = hashlib.sha256(matrix.read_bytes()).hexdigest()
+    return digests
+
+
+class TestRealWidthDigests:
+    """Today's bits at real widths, pinned before the kernels change."""
+
+    @pytest.mark.parametrize("body", ["loaded", "baseline"])
+    def test_outputs_match_the_committed_table(self, request, tmp_path, body):
+        lib = accum._lib if body == "loaded" else request.getfixturevalue("baseline_lib")
+        expected = json.loads(REAL_WIDTH_DIGESTS.read_text())
+        assert _with_lib(lib, real_width_digests, tmp_path) == expected

@@ -244,7 +244,7 @@ class TestOneRankingPerSelection:
                                  * len(windows))
             # combined, video_only and positive_video rank one grid per
             # window; frame_only and positive_frame rank the video modes'
-            # window-1 grids; one more in the base compress, whose kept
-            # indices are the base mask
+            # window-1 grids; one more in the base compress, which gives
+            # only its grids: the base mask is the base cell's cut
             distinct = 3 * len(windows) + 2 - 2 * ("1" in windows)
             assert len(calls) == distinct + 1 == rankings
