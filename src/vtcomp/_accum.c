@@ -16,9 +16,10 @@
  * is built for baseline x86-64, so it loads on any x86-64 host.  The AVX2
  * clones of frame_token_sums and token_reductions compile this same source:
  * AVX2 does not include FMA, so they only add more independent accumulators
- * per instruction.  transpose_tokens has its own 8x8 tile that moves 32-bit
- * words.  Every other build, and one with -DVTCOMP_BASELINE_ONLY, compiles
- * the baseline bodies alone.
+ * per instruction.  Both bodies of transpose_tokens walk one loop nest of
+ * 8x8 tiles; only the tile differs, an AVX2 shuffle or a portable copy, and
+ * both move 32-bit words.  Every other build, and one with
+ * -DVTCOMP_BASELINE_ONLY, compiles the baseline bodies alone.
  */
 
 #include <stddef.h>
@@ -47,8 +48,6 @@
 /* Columns of one reduction tile: its float64 accumulators (the squared
  * norms plus one dot row per pool matrix) stay in L1. */
 #define TILE 512
-/* Tokens and channels per transpose block. */
-#define BLOCK 16
 
 HELPER ptrdiff_t min_pd(ptrdiff_t a, ptrdiff_t b) { return a < b ? a : b; }
 
@@ -77,13 +76,53 @@ void frame_token_sums(const float *restrict values, ptrdiff_t frames,
     }
 }
 
+/* Mover of one 8x8 tile: 8 tokens of 8 channels at s (row stride dim) to
+ * 8 channels of 8 tokens at d (row stride cols). */
+typedef void tile_fn(const uint32_t *restrict s, ptrdiff_t dim, uint32_t *restrict d,
+                     ptrdiff_t cols);
+
+/* The baseline tile_fn; constant bounds let the compiler vectorize its stores. */
+HELPER void transpose_tile(const uint32_t *restrict s, ptrdiff_t dim,
+                           uint32_t *restrict d, ptrdiff_t cols)
+{
+    for (ptrdiff_t c = 0; c < 8; c++)
+        for (ptrdiff_t m = 0; m < 8; m++)
+            d[c * cols + m] = s[m * dim + c];
+}
+
+/* Frames [start, stop) of (frames, tokens, dim) into channel-major
+ * (dim, (stop - start) * tokens), eight tokens at a time across every
+ * channel, so the source is read as eight sequential streams.  tile moves
+ * each full 8x8 tile; the channel and token tails are copied word by word.
+ * Elements move as 32-bit words, so every bit pattern is kept. */
+HELPER void transpose_nest(const uint32_t *restrict values, ptrdiff_t tokens,
+                           ptrdiff_t dim, ptrdiff_t start, ptrdiff_t stop,
+                           uint32_t *restrict out, tile_fn *tile)
+{
+    ptrdiff_t cols = (stop - start) * tokens;
+    ptrdiff_t full_m = tokens - tokens % 8, full_c = dim - dim % 8;
+    for (ptrdiff_t t = start; t < stop; t++) {
+        const uint32_t *src = values + t * tokens * dim;
+        uint32_t *dst = out + (t - start) * tokens;
+        for (ptrdiff_t m0 = 0; m0 < full_m; m0 += 8) {
+            for (ptrdiff_t c0 = 0; c0 < full_c; c0 += 8)
+                tile(src + m0 * dim + c0, dim, dst + c0 * cols + m0, cols);
+            for (ptrdiff_t c = full_c; c < dim; c++)
+                for (ptrdiff_t m = m0; m < m0 + 8; m++)
+                    dst[c * cols + m] = src[m * dim + c];
+        }
+        for (ptrdiff_t m = full_m; m < tokens; m++)
+            for (ptrdiff_t c = 0; c < dim; c++)
+                dst[c * cols + m] = src[m * dim + c];
+    }
+}
+
 #ifdef VTCOMP_AVX2
 /* True when the CPU runs AVX2 code; the same test the ifunc resolvers of
  * the DISPATCHED functions make. */
 static int has_avx2(void) { return __builtin_cpu_supports("avx2"); }
 
-/* One 8x8 tile in eight 256-bit registers: 8 tokens of 8 channels at s
- * (row stride dim) to 8 channels of 8 tokens at d (row stride cols). */
+/* The AVX2 tile_fn: one 8x8 tile in eight 256-bit registers. */
 __attribute__((target("avx2"), always_inline))
 static inline void transpose_tile_avx2(const uint32_t *restrict s, ptrdiff_t dim,
                                        uint32_t *restrict d, ptrdiff_t cols)
@@ -116,30 +155,13 @@ static inline void transpose_tile_avx2(const uint32_t *restrict s, ptrdiff_t dim
     _mm256_storeu_si256((__m256i *)(d + 7 * cols), _mm256_permute2x128_si256(b3, b7, 0x31));
 }
 
-/* transpose_tokens in 8x8 tiles, eight tokens at a time across every
- * channel, so the source is read as eight sequential streams.  The channel
- * and token tails are copied word by word. */
+/* transpose_nest with the AVX2 tile, compiled for AVX2. */
 __attribute__((target("avx2")))
 static void transpose_tokens_avx2(const uint32_t *restrict values, ptrdiff_t tokens,
                                   ptrdiff_t dim, ptrdiff_t start, ptrdiff_t stop,
                                   uint32_t *restrict out)
 {
-    ptrdiff_t cols = (stop - start) * tokens;
-    ptrdiff_t full_m = tokens - tokens % 8, full_c = dim - dim % 8;
-    for (ptrdiff_t t = start; t < stop; t++) {
-        const uint32_t *src = values + t * tokens * dim;
-        uint32_t *dst = out + (t - start) * tokens;
-        for (ptrdiff_t m0 = 0; m0 < full_m; m0 += 8) {
-            for (ptrdiff_t c0 = 0; c0 < full_c; c0 += 8)
-                transpose_tile_avx2(src + m0 * dim + c0, dim, dst + c0 * cols + m0, cols);
-            for (ptrdiff_t c = full_c; c < dim; c++)
-                for (ptrdiff_t m = m0; m < m0 + 8; m++)
-                    dst[c * cols + m] = src[m * dim + c];
-        }
-        for (ptrdiff_t m = full_m; m < tokens; m++)
-            for (ptrdiff_t c = 0; c < dim; c++)
-                dst[c * cols + m] = src[m * dim + c];
-    }
+    transpose_nest(values, tokens, dim, start, stop, out, transpose_tile_avx2);
 }
 #endif
 
@@ -153,10 +175,7 @@ const char *kernel_isa(void)
     return "baseline";
 }
 
-/* Frames [start, stop) of (frames, tokens, dim) into channel-major
- * (dim, (stop - start) * tokens), in BLOCK x BLOCK tiles.  Full tiles get
- * constant loop bounds, which lets the compiler unroll and vectorize them.
- * Elements move as 32-bit words, so every bit pattern is kept. */
+/* transpose_nest with this CPU's tile. */
 void transpose_tokens(const uint32_t *restrict values, ptrdiff_t tokens,
                       ptrdiff_t dim, ptrdiff_t start, ptrdiff_t stop,
                       uint32_t *restrict out)
@@ -167,26 +186,7 @@ void transpose_tokens(const uint32_t *restrict values, ptrdiff_t tokens,
         return;
     }
 #endif
-    ptrdiff_t cols = (stop - start) * tokens;
-    for (ptrdiff_t t = start; t < stop; t++) {
-        const uint32_t *src = values + t * tokens * dim;
-        uint32_t *dst = out + (t - start) * tokens;
-        for (ptrdiff_t c0 = 0; c0 < dim; c0 += BLOCK) {
-            ptrdiff_t c1 = min_pd(c0 + BLOCK, dim);
-            for (ptrdiff_t m0 = 0; m0 < tokens; m0 += BLOCK) {
-                ptrdiff_t m1 = min_pd(m0 + BLOCK, tokens);
-                if (c1 - c0 == BLOCK && m1 - m0 == BLOCK) {
-                    for (ptrdiff_t c = 0; c < BLOCK; c++)
-                        for (ptrdiff_t m = 0; m < BLOCK; m++)
-                            dst[(c0 + c) * cols + m0 + m] = src[(m0 + m) * dim + c0 + c];
-                } else {
-                    for (ptrdiff_t c = c0; c < c1; c++)
-                        for (ptrdiff_t m = m0; m < m1; m++)
-                            dst[c * cols + m] = src[m * dim + c];
-                }
-            }
-        }
-    }
+    transpose_nest(values, tokens, dim, start, stop, out, transpose_tile);
 }
 
 /* One channel's contribution to one run of columns: acc[j] += x[j] * w[0]. */

@@ -145,7 +145,10 @@ def _stacked_pools(pool_rows, frames: int, dim: int) -> np.ndarray:
 
 def ordered_sums(array: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum along ``axis`` in ascending index order: the last running sum of
-    ``np.cumsum``, which adds one element at a time (``np.sum`` pairs them)."""
+    ``np.cumsum``, which adds one element at a time (``np.sum`` pairs them).
+    An empty axis sums to 0.0, as ``np.sum`` gives it."""
+    if np.shape(array)[axis] == 0:
+        return np.sum(array, axis=axis)
     return np.cumsum(array, axis=axis).take(-1, axis=axis)
 
 
@@ -244,7 +247,7 @@ def run_chunked(workers: int, frames: int, phase) -> None:
     output is bit-identical for any worker count; with one worker the phase
     runs inline.
     """
-    workers = min(max(1, workers), frames)
+    workers = max(1, min(workers, frames))
     if workers == 1:
         phase(0, frames)
         return
@@ -271,10 +274,10 @@ def uniqueness_grids(values: np.ndarray, pool_rows, threads: int = 1) -> np.ndar
     sq = np.empty((frames, tokens), dtype=np.float64)
     dots = np.empty((len(pools), frames, tokens), dtype=np.float64)
     frame_size = tokens * dim
-    block = max(1, _BLOCK_BYTES // (4 * frame_size)) if _lib is not None else frames
+    block = max(1, _BLOCK_BYTES // max(1, 4 * frame_size)) if _lib is not None else frames
 
     def reduce_phase(a: int, b: int) -> None:
-        step = min(block, b - a)
+        step = max(1, min(block, b - a))  # a frameless chunk walks no block
         buf = np.empty(step * frame_size, dtype=np.float32)
         for t0 in range(a, b, step):
             t1 = min(t0 + step, b)

@@ -257,20 +257,23 @@ def _write_together(writes) -> None:
     Every CLI output goes through here, so no output is left half-written:
     a reader of a path sees the whole old file or the whole new one, never
     a file truncated in place.  On failure the temporaries and any path
-    already replaced are removed.
+    already replaced are removed, and an OSError on a temporary is raised
+    again, same errno and class, naming the path it stands for.
     """
     temps = [f"{path}.{os.getpid()}.tmp" for path, _ in writes]
     moved = []
     try:
-        for (_, write), temp in zip(writes, temps):
+        for (path, write), temp in zip(writes, temps):
             write(temp)
         for (path, _), temp in zip(writes, temps):
             os.replace(temp, path)
             moved.append(path)
-    except BaseException:
+    except BaseException as exc:
         for leftover in temps + moved:
             with contextlib.suppress(OSError):
                 os.remove(leftover)
+        if isinstance(exc, OSError) and exc.errno is not None and exc.filename == temp:
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 
 

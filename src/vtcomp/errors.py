@@ -18,7 +18,12 @@ class ConfigError(VtcompError):
 
 
 class DimensionMismatchError(VtcompError):
-    """Flat data length does not equal frames * tokens * dim."""
+    """A tensor's shape or layout is unusable.
+
+    Raised when flat data length does not equal frames * tokens * dim, for
+    a tensor that is not 3-axis float32 or has an empty axis, and when
+    writing a ``.vtok`` whose axis exceeds its header's 2^32 - 1.
+    """
 
     kind = "dimension-mismatch"
 

@@ -1,3 +1,4 @@
+import errno
 import os
 import shlex
 import subprocess
@@ -12,7 +13,7 @@ import vtcomp
 from vtcomp import accum
 from vtcomp import (Adjustment, Aggregation, RetentionConfig, ScoreMode, TokenTensor,
                     compress, read_vtok, write_vtok)
-from vtcomp.cli import _config_from, _threads_value, build_parser, main
+from vtcomp.cli import _config_from, _threads_value, _write_together, build_parser, main
 from vtcomp.formats import export_scores, export_token_scores
 from vtcomp.model import CompressedSelection
 from vtcomp.policies import POLICY_NAMES, Policy
@@ -270,6 +271,27 @@ class TestWholeOutputs:
         assert code == 1
         assert err.startswith("error: io:") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + [blocker.name])
+
+    @pytest.mark.parametrize("command", ["gen", "analyze", "compress", "ablate"])
+    def test_failed_write_names_the_output_path(self, capsys, tmp_path, monkeypatch,
+                                                command):
+        monkeypatch.chdir(tmp_path)
+        if command == "gen":
+            argv = ["gen", "--frames", "4", "--tokens", "6", "--dim", "3"]
+        else:
+            gen(capsys, tmp_path)
+            argv = [command, "-i", "v.vtok"]
+        code, _, err = run(capsys, *argv, "-o", "missing_dir/x.vtok")
+        assert code == 1
+        assert err.startswith("error: io:") and err.count("\n") == 1
+        assert "'missing_dir/x.vtok'" in err and ".tmp" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ([] if command == "gen" else ["v.vtok"])
+
+    def test_failed_write_keeps_its_errno_and_class(self, tmp_path):
+        path = str(tmp_path / "missing_dir" / "x.vtok")
+        with pytest.raises(FileNotFoundError) as caught:
+            _write_together([(path, lambda temp: open(temp, "wb").close())])
+        assert caught.value.errno == errno.ENOENT and caught.value.filename == path
 
 
 class TestAblate:

@@ -789,6 +789,21 @@ class TestCompiledKernels:
         finally:
             accum._BLOCK_BYTES = default
 
+    @pytest.mark.skipif(accum.KERNEL != "c", reason="compiled kernel not loaded")
+    @pytest.mark.parametrize("shape", [(0, 3, 4), (2, 0, 4), (2, 3, 0)])
+    def test_empty_axis_scores_on_every_body(self, baseline_lib, shape):
+        # An empty axis runs no frame, no block or no channel: every body
+        # and thread count gives the same (P, T, M) grids.
+        frames, tokens, dim = shape
+        values = np.zeros(shape, dtype=np.float32)
+        rows = np.ones((2, frames, dim))
+        grids = [_with_lib(lib, accum.uniqueness_grids, values, rows, threads)
+                 for lib in (accum._lib, baseline_lib, None) for threads in (1, 2)]
+        assert {grid.shape for grid in grids} == {(2, frames, tokens)}
+        assert len({grid.tobytes() for grid in grids}) == 1
+        grid = video_uniqueness(TokenTensor(values), rows[0])
+        assert grid.tobytes() == grids[0][0].tobytes()
+
     @pytest.mark.parametrize("broken", ["no-compiler", "unusable-cache"])
     def test_fallback_gives_identical_bytes(self, broken, tmp_path):
         package = Path(accum.__file__).parent
