@@ -5,11 +5,11 @@ Usage, with both commits checked out side by side:
 
     python3 scripts/ab_kernels.py --parent ../parent --change . --out ab.json
 
-Each checkout's ``src/vtcomp/_accum.c`` is built twice with ``accum._FLAGS``:
+Each checkout's ``src/vtcomp/_accum.c`` is built twice with ``accum._build``:
 once as the package loads it (with the AVX2 dispatch where the host has
 it) and once with ``-DVTCOMP_BASELINE_ONLY``, the baseline bodies every
-other host runs.  Each build is loaded with ``accum._declare``, so both
-sources must keep the entry points this package declares.
+other host runs.  Each build is declared as this package declares it, so
+both sources must keep the same entry points.
 
 Only ``accum._lib`` is swapped between the sides: the Python layer that
 runs is the one beside this script, so the A/B compares C sources only and
@@ -17,12 +17,16 @@ a change to the Python code is not measured.
 
 For each body and each shape of the fixed grid (``SyntheticSpec(...,
 model="iid", seed=0)``), rounds alternate the sides, the parent first in
-even rounds.  A round times ``compress(tensor, threads=1)`` and the
-transpose stage: ``transpose_tokens`` over every frame, in blocks of
-``_BLOCK_BYTES`` as a scoring worker walks them.  The sha256 of every
-output (the compress report, budgets, kept indices and rows, and every
-transposed block) must be the same for both sides and both bodies in
-every round; on a mismatch the script names it on stderr and exits 1.
+even rounds.  A round times ``compress(tensor, threads=1)``, the
+transpose stage (``transpose_tokens`` over every frame, in blocks of
+``_BLOCK_BYTES`` as a scoring worker walks them) and the reduction stage
+at each pool count P in ``POOLS`` (``token_reductions`` of every block
+against the first P of four seeded (T, D') pool matrices, P = 1 right
+after the transpose, as a scoring worker reads its block).  The sha256 of
+every output (the compress report, budgets, kept indices and rows, every
+transposed block and every norm and dot grid) must be the same for both
+sides and both bodies in every round; on a mismatch the script names it
+on stderr and exits 1.
 Otherwise it prints one JSON object, the best and median ms per body,
 side and shape, and writes it to ``--out`` when given.
 """
@@ -30,12 +34,10 @@ side and shape, and writes it to ``--out`` when given.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -52,18 +54,10 @@ BODIES = {"loaded": (), "baseline": ("-DVTCOMP_BASELINE_ONLY",)}
 # The fixed shape grid, each with its rounds per body.
 FIXED_GRID = {(32, 196, 896): 40, (128, 64, 896): 40, (8, 576, 1024): 40,
               (64, 196, 3584): 8}
-
-
-def build(checkout: Path, defines: tuple, build_dir: Path) -> ctypes.CDLL:
-    """Compile a checkout's ``_accum.c`` (once per source and flags) and load it."""
-    source = checkout / "src" / "vtcomp" / "_accum.c"
-    flags = (*accum._FLAGS, *defines)
-    key = hashlib.sha256(source.read_bytes() + " ".join(flags).encode()).hexdigest()[:16]
-    target = build_dir / f"_accum.{key}.so"
-    if not target.exists():
-        subprocess.run(["cc", *flags, "-o", str(target), str(source)], check=True,
-                       capture_output=True, timeout=300)
-    return accum._declare(ctypes.CDLL(str(target)))
+# Pool counts of the timed reduction stage: one window, the two of every
+# workload (video and frame pools) and four.
+POOLS = (1, 2, 4)
+BLOCK_STAGES = ("transpose_ms", *(f"reduce_p{p}_ms" for p in POOLS))
 
 
 def timed_compress(tensor) -> tuple[float, str]:
@@ -79,20 +73,28 @@ def timed_compress(tensor) -> tuple[float, str]:
     return ms, digest.hexdigest()
 
 
-def timed_transpose(values: np.ndarray) -> tuple[float, str]:
-    """ms of the block-wise transpose of every frame, and the sha256 of its blocks."""
+def timed_blocks(values: np.ndarray, pools: np.ndarray) -> tuple[dict, str]:
+    """ms of the block-wise transpose of every frame and of the reduction of
+    each block at every P in ``POOLS`` (against ``pools[:P]``), and the
+    sha256 of every block and reduction output."""
     frames, tokens, dim = values.shape
     frame_size = tokens * dim
     step = max(1, accum._BLOCK_BYTES // (4 * frame_size))
     buf = np.empty(step * frame_size, dtype=np.float32)
-    ms, digest = 0.0, hashlib.sha256()
+    ms, digest = dict.fromkeys(BLOCK_STAGES, 0.0), hashlib.sha256()
     for t0 in range(0, frames, step):
         t1 = min(t0 + step, frames)
         block = buf[: (t1 - t0) * frame_size].reshape(dim, (t1 - t0) * tokens)
         begin = time.perf_counter()
         accum.transpose_tokens(values, out=block, start=t0, stop=t1)
-        ms += (time.perf_counter() - begin) * 1e3
+        ms["transpose_ms"] += (time.perf_counter() - begin) * 1e3
         digest.update(block.tobytes())
+        for p in POOLS:
+            begin = time.perf_counter()
+            sq, dots = accum.token_reductions(block, frames, tokens, pools[:p], t0, t1)
+            ms[f"reduce_p{p}_ms"] += (time.perf_counter() - begin) * 1e3
+            digest.update(sq.tobytes())
+            digest.update(dots.tobytes())
     return ms, digest.hexdigest()
 
 
@@ -115,7 +117,8 @@ def main(argv=None, grid: dict | None = None) -> int:
     loaded = accum._lib
     try:
         with tempfile.TemporaryDirectory() as build_dir:
-            libs = {body: {side: build(checkouts[side], defines, Path(build_dir))
+            libs = {body: {side: accum._build(checkouts[side] / "src" / "vtcomp" / "_accum.c",
+                                              build_dir, defines)
                            for side in SIDES} for body, defines in BODIES.items()}
             report["isa"] = {body: {side: lib.kernel_isa().decode()
                                     for side, lib in sides.items()}
@@ -124,22 +127,25 @@ def main(argv=None, grid: dict | None = None) -> int:
                 name = "x".join(map(str, shape))
                 report["rounds"][name] = rounds
                 tensor = generate(SyntheticSpec(*shape, model="iid", seed=0))
+                frames, _, dim = shape
+                pools = np.random.default_rng(0).standard_normal((max(POOLS), frames, dim))
                 expected = None
                 for body, sides in libs.items():
-                    times = {side: {"compress_ms": [], "transpose_ms": []} for side in SIDES}
+                    times = {side: {stage: [] for stage in ("compress_ms", *BLOCK_STAGES)}
+                             for side in SIDES}
                     for r in range(rounds):
                         for side in SIDES if r % 2 == 0 else SIDES[::-1]:
                             accum._lib = sides[side]
                             c_ms, c_digest = timed_compress(tensor)
-                            t_ms, t_digest = timed_transpose(tensor.values)
+                            stage_ms, b_digest = timed_blocks(tensor.values, pools)
                             if expected is None:
-                                expected = (c_digest, t_digest)
-                            if (c_digest, t_digest) != expected:
+                                expected = (c_digest, b_digest)
+                            if (c_digest, b_digest) != expected:
                                 print(f"ab_kernels: {body} body of {side} gives other bytes "
                                       f"at {name} in round {r}", file=sys.stderr)
                                 return 1
-                            times[side]["compress_ms"].append(c_ms)
-                            times[side]["transpose_ms"].append(t_ms)
+                            for stage, ms in {"compress_ms": c_ms, **stage_ms}.items():
+                                times[side][stage].append(ms)
                     report["bodies"].setdefault(body, {})[name] = {
                         side: {stage: summary(ms) for stage, ms in stages.items()}
                         for side, stages in times.items()}

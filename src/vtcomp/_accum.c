@@ -16,10 +16,11 @@
  * is built for baseline x86-64, so it loads on any x86-64 host.  The AVX2
  * clones of frame_token_sums and token_reductions compile this same source:
  * AVX2 does not include FMA, so they only add more independent accumulators
- * per instruction.  Both bodies of transpose_tokens walk one loop nest of
- * 8x8 tiles; only the tile differs, an AVX2 shuffle or a portable copy, and
- * both move 32-bit words.  Every other build, and one with
- * -DVTCOMP_BASELINE_ONLY, compiles the baseline bodies alone.
+ * per instruction.  token_reductions reads each channel row once per pair
+ * of pools, every run through one helper.  Both bodies of transpose_tokens
+ * walk one loop nest of 8x8 tiles; only the tile differs, an AVX2 shuffle
+ * or a portable copy, and both move 32-bit words.  Every other build, and
+ * one with -DVTCOMP_BASELINE_ONLY, compiles the baseline bodies alone.
  */
 
 #include <stddef.h>
@@ -189,58 +190,57 @@ void transpose_tokens(const uint32_t *restrict values, ptrdiff_t tokens,
     transpose_nest(values, tokens, dim, start, stop, out, transpose_tile);
 }
 
-/* One channel's contribution to one run of columns: acc[j] += x[j] * w[0]. */
-HELPER void add_one(double *restrict acc, const float *restrict x, const double *w,
-                    ptrdiff_t n)
+/* Channel rows x[0], x[cols], ..., x[(k - 1) * cols] of a run of n columns,
+ * added in channel order to the squared norms sq (when norms is set) and to
+ * ndots (0, 1 or 2) dot rows: d0 weighs channel i by w[i], d1 by u[i].
+ * Every call passes constant norms, ndots and k, so after inlining each call
+ * is its own loop with one load and one store per accumulator; an unused
+ * row is passed as NULL. */
+HELPER void reduce_run(int norms, int ndots, ptrdiff_t k, double *restrict sq,
+                       double *restrict d0, double *restrict d1,
+                       const float *restrict x, ptrdiff_t cols,
+                       const double *w, const double *u, ptrdiff_t n)
 {
-    for (ptrdiff_t j = 0; j < n; j++)
-        acc[j] += (double)x[j] * w[0];
-}
-
-/* Four channels' contributions, added in channel order: x holds channel c
- * at x[j], channel c + 1 at x[cols + j] and so on; w[0..3] weigh them. */
-HELPER void add_four(double *restrict acc, const float *restrict x, ptrdiff_t cols,
-                     const double *w, ptrdiff_t n)
-{
-    const float *x1 = x + cols, *x2 = x1 + cols, *x3 = x2 + cols;
-    double w0 = w[0], w1 = w[1], w2 = w[2], w3 = w[3];
-    for (ptrdiff_t j = 0; j < n; j++)
-        acc[j] = acc[j] + (double)x[j] * w0 + (double)x1[j] * w1
-                 + (double)x2[j] * w2 + (double)x3[j] * w3;
-}
-
-/* square_four and add_four for two pools in one pass over the four rows. */
-HELPER void square_add2_four(double *restrict sq, double *restrict d0, double *restrict d1,
-                             const float *restrict x, ptrdiff_t cols, const double *w,
-                             const double *u, ptrdiff_t n)
-{
-    const float *x1 = x + cols, *x2 = x1 + cols, *x3 = x2 + cols;
-    double w0 = w[0], w1 = w[1], w2 = w[2], w3 = w[3];
-    double u0 = u[0], u1 = u[1], u2 = u[2], u3 = u[3];
     for (ptrdiff_t j = 0; j < n; j++) {
-        double a = x[j], b = x1[j], e = x2[j], f = x3[j];
-        sq[j] = sq[j] + a * a + b * b + e * e + f * f;
-        d0[j] = d0[j] + a * w0 + b * w1 + e * w2 + f * w3;
-        d1[j] = d1[j] + a * u0 + b * u1 + e * u2 + f * u3;
+        double s = norms ? sq[j] : 0.0, a = ndots > 0 ? d0[j] : 0.0;
+        double b = ndots > 1 ? d1[j] : 0.0;
+        for (ptrdiff_t i = 0; i < k; i++) {
+            double v = x[i * cols + j];
+            s = s + v * v;
+            if (ndots > 0)
+                a = a + v * w[i];
+            if (ndots > 1)
+                b = b + v * u[i];
+        }
+        if (norms)
+            sq[j] = s;
+        if (ndots > 0)
+            d0[j] = a;
+        if (ndots > 1)
+            d1[j] = b;
     }
 }
 
-HELPER void square_one(double *restrict acc, const float *restrict x, ptrdiff_t n)
+/* The pairing rule for k channels of one run: the norms go with pools 0
+ * and 1 (or the only pool, or alone), every further pool goes in pairs, and
+ * an odd last pool alone, so each channel row is read once per pair.  sq,
+ * dots and rows point at the run's first column and channel. */
+HELPER void reduce_channels(ptrdiff_t k, double *restrict sq, double *restrict dots,
+                            const float *restrict x, ptrdiff_t cols, const double *rows,
+                            ptrdiff_t stride, ptrdiff_t npools, ptrdiff_t n)
 {
-    for (ptrdiff_t j = 0; j < n; j++) {
-        double a = x[j];
-        acc[j] += a * a;
-    }
-}
-
-HELPER void square_four(double *restrict acc, const float *restrict x, ptrdiff_t cols,
-                        ptrdiff_t n)
-{
-    const float *x1 = x + cols, *x2 = x1 + cols, *x3 = x2 + cols;
-    for (ptrdiff_t j = 0; j < n; j++) {
-        double a = x[j], b = x1[j], e = x2[j], f = x3[j];
-        acc[j] = acc[j] + a * a + b * b + e * e + f * f;
-    }
+    if (npools == 0)
+        reduce_run(1, 0, k, sq, NULL, NULL, x, cols, NULL, NULL, n);
+    else if (npools == 1)
+        reduce_run(1, 1, k, sq, dots, NULL, x, cols, rows, NULL, n);
+    else
+        reduce_run(1, 2, k, sq, dots, dots + cols, x, cols, rows, rows + stride, n);
+    ptrdiff_t p = 2;
+    for (; p + 2 <= npools; p += 2)
+        reduce_run(0, 2, k, NULL, dots + p * cols, dots + (p + 1) * cols, x, cols,
+                   rows + p * stride, rows + (p + 1) * stride, n);
+    if (p < npools)
+        reduce_run(0, 1, k, NULL, dots + p * cols, NULL, x, cols, rows + p * stride, NULL, n);
 }
 
 /* Squared norms and pool dot products of the tokens of frames
@@ -250,8 +250,9 @@ HELPER void square_four(double *restrict acc, const float *restrict x, ptrdiff_t
  * npools rows of them.  Each accumulator adds channels strictly left to right.
  *
  * Columns go in runs of at most TILE tokens of one frame, so a run shares
- * one pool row and its accumulators stay in L1 while every channel of the
- * run is read once. */
+ * one pool row and its accumulators stay in L1.  Channels go four at a time,
+ * then one at a time, and reduce_channels reads each group once per pair of
+ * pools, the norms riding with the first pair. */
 DISPATCHED
 void token_reductions(const float *restrict cm, ptrdiff_t frames, ptrdiff_t tokens,
                       ptrdiff_t dim, ptrdiff_t start, ptrdiff_t stop,
@@ -269,25 +270,12 @@ void token_reductions(const float *restrict cm, ptrdiff_t frames, ptrdiff_t toke
                 for (ptrdiff_t j = 0; j < n; j++)
                     dots[p * cols + j0 + j] = 0.0;
             ptrdiff_t c = 0;
-            for (; c + 4 <= dim; c += 4) {
-                const float *x = cm + c * cols + j0;
-                ptrdiff_t p = 0;
-                if (npools >= 2) {  /* the usual case: video and frame pool */
-                    square_add2_four(sq + j0, dots + j0, dots + cols + j0, x, cols,
-                                     rows + c, rows + stride + c, n);
-                    p = 2;
-                } else {
-                    square_four(sq + j0, x, cols, n);
-                }
-                for (; p < npools; p++)
-                    add_four(dots + p * cols + j0, x, cols, rows + p * stride + c, n);
-            }
-            for (; c < dim; c++) {
-                const float *x = cm + c * cols + j0;
-                square_one(sq + j0, x, n);
-                for (ptrdiff_t p = 0; p < npools; p++)
-                    add_one(dots + p * cols + j0, x, rows + p * stride + c, n);
-            }
+            for (; c + 4 <= dim; c += 4)
+                reduce_channels(4, sq + j0, dots + j0, cm + c * cols + j0, cols, rows + c,
+                                stride, npools, n);
+            for (; c < dim; c++)
+                reduce_channels(1, sq + j0, dots + j0, cm + c * cols + j0, cols, rows + c,
+                                stride, npools, n);
         }
     }
 }

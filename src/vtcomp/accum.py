@@ -57,17 +57,11 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _load_library():
-    """Build ``_accum.c`` unless a build of this source and these flags is
-    cached, then load it; None when any step fails."""
+    """The package's ``_accum.c``, built into ``__pycache__`` unless a build
+    of this source and these flags is cached there; None when any step fails."""
     here = os.path.dirname(os.path.abspath(__file__))
-    source = os.path.join(here, "_accum.c")
     try:
-        with open(source, "rb") as fh:
-            key = hashlib.sha256(fh.read() + " ".join(_FLAGS).encode()).hexdigest()[:16]
-        target = os.path.join(here, "__pycache__", f"_accum.{key}.so")
-        if not os.path.exists(target):
-            _build(source, target)
-        return _declare(ctypes.CDLL(target))
+        return _build(os.path.join(here, "_accum.c"), os.path.join(here, "__pycache__"))
     except OSError:
         return None
 
@@ -85,23 +79,33 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     return lib
 
 
-def _build(source: str, target: str) -> None:
-    """Compile into a pid-named temp file, then move it into place, so a
-    concurrent import never loads a half-written library.  Raises OSError
-    on any failure."""
-    import subprocess  # only an import that builds needs it
+def _build(source, directory, defines=()) -> ctypes.CDLL:
+    """``source`` built with ``_FLAGS`` and ``defines``, loaded and declared.
 
-    os.makedirs(os.path.dirname(target), exist_ok=True)
-    temp = f"{target}.{os.getpid()}.tmp"
-    try:
-        subprocess.run(["cc", *_FLAGS, "-o", temp, source], check=True,
-                       capture_output=True, timeout=300)
-        os.replace(temp, target)
-    except subprocess.SubprocessError as exc:
-        raise OSError(f"cc could not build {target}") from exc
-    finally:
-        if os.path.exists(temp):
-            os.remove(temp)
+    The build lives in ``directory`` under a hash of source and flags, so
+    it compiles once.  It compiles into a pid-named temp file, then moves
+    into place, so a concurrent build never loads a half-written library.
+    Raises OSError on any failure.
+    """
+    flags = (*_FLAGS, *defines)
+    with open(source, "rb") as fh:
+        key = hashlib.sha256(fh.read() + " ".join(flags).encode()).hexdigest()[:16]
+    target = os.path.join(directory, f"_accum.{key}.so")
+    if not os.path.exists(target):
+        import subprocess  # only a call that compiles needs it
+
+        os.makedirs(directory, exist_ok=True)
+        temp = f"{target}.{os.getpid()}.tmp"
+        try:
+            subprocess.run(["cc", *flags, "-o", temp, source], check=True,
+                           capture_output=True, timeout=300)
+            os.replace(temp, target)
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"cc could not build {target}") from exc
+        finally:
+            if os.path.exists(temp):
+                os.remove(temp)
+    return _declare(ctypes.CDLL(target))
 
 
 _lib = _load_library()

@@ -154,11 +154,14 @@ def topk_select(scores, k):
     consumers that rely on positional structure.  Given a (T, M) grid and
     one count per row, returns the (T, M) boolean keep mask whose row t is
     true exactly at ``topk_select(scores[t], k[t])``: that is
-    ``keep_top(token_ranks(scores), k)``.
+    ``keep_top(token_ranks(scores), k)``.  Scores of any other rank raise
+    ``ShapeMismatchError``.
     """
     grid = np.asarray(scores, dtype=np.float64)
     if grid.ndim == 2:
         return keep_top(token_ranks(grid), k)
+    if grid.ndim != 1:
+        raise ShapeMismatchError(f"expected 1-D or 2-D scores, got shape {grid.shape}")
     return np.flatnonzero(keep_top(token_ranks(grid.reshape(1, -1)), [k])[0])
 
 

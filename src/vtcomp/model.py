@@ -188,6 +188,10 @@ class RetentionConfig:
         object.__setattr__(self, "adjustment", Adjustment(self.adjustment))
         object.__setattr__(self, "frame_aggregation", Aggregation(self.frame_aggregation))
         object.__setattr__(self, "score_mode", ScoreMode(self.score_mode))
+        for name in ("ratio", "temperature", "epsilon", "alpha", "beta"):
+            if isinstance(value := getattr(self, name), bool) \
+                    or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if not (0.0 < self.ratio <= 1.0):
             raise ConfigError(f"ratio must be in (0, 1], got {self.ratio}")
         for name in ("temperature", "epsilon"):

@@ -34,8 +34,8 @@ def test_same_source_on_both_sides_gives_equal_bytes(tmp_path):
     assert report["isa"]["baseline"] == {"parent": "baseline", "change": "baseline"}
     for body in ("loaded", "baseline"):
         for side in ("parent", "change"):
-            assert set(report["bodies"][body]["3x10x11"][side]) == {"compress_ms",
-                                                                    "transpose_ms"}
+            assert set(report["bodies"][body]["3x10x11"][side]) == {
+                "compress_ms", "transpose_ms", "reduce_p1_ms", "reduce_p2_ms", "reduce_p4_ms"}
 
 
 def test_a_mutated_tail_copy_exits_1(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import contextlib
-import ctypes
 import hashlib
 import io
 import json
@@ -192,6 +191,11 @@ class TestTopkSelect:
     def test_signed_zero_ties(self):
         # -0.0 and 0.0 compare equal, so index order must decide.
         assert topk_select([-0.0, 1.0, 0.0], 2).tolist() == [0, 1]
+
+    def test_scores_of_three_dimensions_rejected(self):
+        # Neither one frame nor a (T, M) grid: no flattened indices.
+        with pytest.raises(ShapeMismatchError):
+            topk_select(np.arange(8.0).reshape(2, 2, 2), 3)
 
 
 class TestCompress:
@@ -677,11 +681,8 @@ def baseline_lib(tmp_path_factory):
     out, so the baseline bodies run on any CPU."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    target = tmp_path_factory.mktemp("baseline") / "_accum_baseline.so"
-    source = Path(accum.__file__).with_name("_accum.c")
-    subprocess.run(["cc", *accum._FLAGS, "-DVTCOMP_BASELINE_ONLY", "-o", str(target),
-                    str(source)], check=True, capture_output=True, timeout=300)
-    return accum._declare(ctypes.CDLL(str(target)))
+    return accum._build(Path(accum.__file__).with_name("_accum.c"),
+                        tmp_path_factory.mktemp("baseline"), ("-DVTCOMP_BASELINE_ONLY",))
 
 
 class TestCompiledKernels:
@@ -756,6 +757,30 @@ class TestCompiledKernels:
         grids = accum.uniqueness_grids(values, rows)
         for matrix, grid in zip(rows, grids):
             assert grid.tobytes() == accum.uniqueness_grids(values, [matrix])[0].tobytes()
+
+    @pytest.mark.skipif(accum.KERNEL != "c", reason="compiled kernel not loaded")
+    @pytest.mark.parametrize("dim", [896, 1024, 3584, 3583])
+    def test_pairing_rule_at_real_widths(self, baseline_lib, dim):
+        # The norms ride with pools 0 and 1, further pools go in pairs and an
+        # odd last pool alone; 3583 channels also reach the one-channel tail.
+        # At every pool count each body gives the numpy body's norms, dots
+        # and grids, and each grid equals a call with its pool alone.
+        rng = np.random.default_rng(dim)
+        values = _scaled(rng, (3, 7, dim), np.float32)
+        rows = _scaled(rng, (5, 3, dim), np.float64)
+        block = accum.transpose_tokens(values)
+        for pools in range(6):
+            expected = [_numpy_body(accum.token_reductions, block, 3, 7, rows[:pools]),
+                        _numpy_body(accum.uniqueness_grids, values, rows[:pools])]
+            for lib in (accum._lib, baseline_lib):
+                sq, dots = _with_lib(lib, accum.token_reductions, block, 3, 7, rows[:pools])
+                grids = _with_lib(lib, accum.uniqueness_grids, values, rows[:pools])
+                assert sq.tobytes() == expected[0][0].tobytes(), (pools, lib)
+                assert dots.tobytes() == expected[0][1].tobytes(), (pools, lib)
+                assert grids.tobytes() == expected[1].tobytes(), (pools, lib)
+                for matrix, grid in zip(rows[:pools], grids):
+                    alone = _with_lib(lib, accum.uniqueness_grids, values, [matrix])
+                    assert grid.tobytes() == alone[0].tobytes(), (pools, lib)
 
     @pytest.mark.skipif(accum.KERNEL != "c", reason="compiled kernel not loaded")
     @given(

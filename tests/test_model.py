@@ -274,6 +274,16 @@ class TestRetentionConfig:
             with pytest.raises(ConfigError):
                 RetentionConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["ratio", "temperature", "epsilon", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "str", "none"])
+    def test_real_fields_reject_bools_and_non_numbers(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            RetentionConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(1)])
+    def test_real_fields_accept_numpy_scalars(self, value):
+        assert RetentionConfig(ratio=value, alpha=value).ratio == value
+
     def test_string_enums_coerced(self):
         cfg = RetentionConfig(adjustment="uniform", frame_aggregation="max",
                               score_mode="video_only")
