@@ -21,12 +21,13 @@ even rounds.  A round times ``compress(tensor, threads=1)``, the
 transpose stage (``transpose_tokens`` over every frame, in blocks of
 ``_BLOCK_BYTES`` as a scoring worker walks them) and the reduction stage
 at each pool count P in ``POOLS`` (``token_reductions`` of every block
-against the first P of four seeded (T, D') pool matrices, P = 1 right
-after the transpose, as a scoring worker reads its block).  The sha256 of
-every output (the compress report, budgets, kept indices and rows, every
-transposed block and every norm and dot grid) must be the same for both
-sides and both bodies in every round; on a mismatch the script names it
-on stderr and exits 1.
+against the first P of four seeded (T, D') pool matrices).  Before each P
+the block is transposed again, so every P reads a block just written, as a
+scoring worker reads its block; only the first transpose is timed and
+hashed.  The sha256 of every output (the compress report, budgets, kept
+indices and rows, every transposed block and every norm and dot grid, in
+``POOLS`` order) must be the same for both sides and both bodies in every
+round; on a mismatch the script names it on stderr and exits 1.
 Otherwise it prints one JSON object, the best and median ms per body,
 side and shape, and writes it to ``--out`` when given.
 """
@@ -75,8 +76,9 @@ def timed_compress(tensor) -> tuple[float, str]:
 
 def timed_blocks(values: np.ndarray, pools: np.ndarray) -> tuple[dict, str]:
     """ms of the block-wise transpose of every frame and of the reduction of
-    each block at every P in ``POOLS`` (against ``pools[:P]``), and the
-    sha256 of every block and reduction output."""
+    each block at every P in ``POOLS`` (against ``pools[:P]``, each on a
+    block the transpose has just written), and the sha256 of every block and
+    reduction output."""
     frames, tokens, dim = values.shape
     frame_size = tokens * dim
     step = max(1, accum._BLOCK_BYTES // (4 * frame_size))
@@ -85,14 +87,15 @@ def timed_blocks(values: np.ndarray, pools: np.ndarray) -> tuple[dict, str]:
     for t0 in range(0, frames, step):
         t1 = min(t0 + step, frames)
         block = buf[: (t1 - t0) * frame_size].reshape(dim, (t1 - t0) * tokens)
-        begin = time.perf_counter()
-        accum.transpose_tokens(values, out=block, start=t0, stop=t1)
-        ms["transpose_ms"] += (time.perf_counter() - begin) * 1e3
-        digest.update(block.tobytes())
         for p in POOLS:
             begin = time.perf_counter()
+            accum.transpose_tokens(values, out=block, start=t0, stop=t1)
+            written = time.perf_counter()
             sq, dots = accum.token_reductions(block, frames, tokens, pools[:p], t0, t1)
-            ms[f"reduce_p{p}_ms"] += (time.perf_counter() - begin) * 1e3
+            ms[f"reduce_p{p}_ms"] += (time.perf_counter() - written) * 1e3
+            if p == POOLS[0]:  # every rewrite gives the same block
+                ms["transpose_ms"] += (written - begin) * 1e3
+                digest.update(block.tobytes())
             digest.update(sq.tobytes())
             digest.update(dots.tobytes())
     return ms, digest.hexdigest()

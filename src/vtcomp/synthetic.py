@@ -8,7 +8,7 @@ budgets should visibly diverge from uniform ones).
 
 from __future__ import annotations
 
-import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -44,16 +44,25 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        if min(self.frames, self.tokens_per_frame, self.dim) < 1:
-            raise ConfigError("frames, tokens_per_frame, and dim must all be >= 1")
+        for name in ("frames", "tokens_per_frame", "dim"):
+            object.__setattr__(self, name, int_at_least(name, getattr(self, name), 1))
         if max(self.frames, self.tokens_per_frame, self.dim) > MAX_AXIS:
             raise ConfigError(
                 f"frames, tokens_per_frame, and dim must all be <= {MAX_AXIS}, the .vtok limit")
         if self.frames * self.tokens_per_frame * self.dim * 4 > sys.maxsize:
             raise ConfigError(f"frames x tokens_per_frame x dim float32 exceeds {sys.maxsize} B")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        # The float max bound keeps a huge int or fraction from overflowing float().
+        if isinstance(sigma := self.noise_sigma, bool) or not isinstance(sigma, numbers.Real) \
+                or not 0.0 <= sigma <= sys.float_info.max:
+            raise ConfigError(f"noise_sigma must be a finite real number >= 0, got {sigma!r}")
+        object.__setattr__(self, "noise_sigma", float(sigma))
         object.__setattr__(self, "seed", int_at_least("seed", self.seed, 0))
+        # Both knobs are checked on every model, their ranges only where they apply.
+        for name in ("num_clusters", "outlier_index"):
+            if isinstance(value := getattr(self, name), bool) \
+                    or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.model == "clustered" and not (1 <= self.num_clusters <= self.frames):
             raise ConfigError(
                 f"num_clusters must be in 1..{self.frames}, got {self.num_clusters}"
@@ -69,8 +78,11 @@ def generate(spec: SyntheticSpec) -> TokenTensor:
 
     All draws come from one PCG64 stream seeded with ``spec.seed`` and are
     consumed in a fixed order (centers first, then frames ascending).  Each
-    frame is drawn in float64 and rounded straight into the one float32
-    block the tensor owns.
+    frame is drawn into one float64 buffer reused for every frame, scaled
+    and shifted by its center (or its orthogonal draw) in place, and rounded
+    straight into the one float32 block the tensor owns.  IEEE addition and
+    multiplication commute, so the bits equal those of the float64
+    ``center + noise_sigma * noise`` written out.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     T, M, D = spec.frames, spec.tokens_per_frame, spec.dim
@@ -81,17 +93,19 @@ def generate(spec: SyntheticSpec) -> TokenTensor:
         centers = rng.standard_normal((1, D))
         unit = centers[0] / np.linalg.norm(centers[0])
     data = np.empty((T, M, D), dtype=np.float32)
+    noise = np.empty((M, D))
     with np.errstate(over="ignore"):  # an overflow is inf, which validate reports
         for t in range(T):
-            noise = rng.standard_normal((M, D))
-            if spec.model == "iid":
-                data[t] = noise
-            elif spec.model == "outlier" and t == spec.outlier_index:
-                raw = rng.standard_normal((M, D))
-                raw -= np.outer(raw @ unit, unit)
-                data[t] = raw + spec.noise_sigma * noise
-            else:
-                data[t] = centers[t * len(centers) // T] + spec.noise_sigma * noise
+            rng.standard_normal(out=noise)
+            if spec.model != "iid":
+                noise *= spec.noise_sigma
+                if spec.model == "outlier" and t == spec.outlier_index:
+                    raw = rng.standard_normal((M, D))
+                    raw -= np.outer(raw @ unit, unit)
+                    noise += raw
+                else:
+                    noise += centers[t * len(centers) // T]
+            data[t] = noise
     tensor = TokenTensor(_freeze(data))
     validate(tensor)
     return tensor

@@ -1,12 +1,14 @@
-"""Peak memory of the .vtok read, ``vtcomp compress`` and ``vtcomp ablate``.
+"""Peak memory of the .vtok read, ``vtcomp compress``, ``vtcomp ablate`` and
+``generate``.
 
 The read and compress cases run in a child process, which reports how far
 its high-water RSS (``VmHWM``) rose past its resident size after the
 import.  The input is about 50 MB, large enough that the payload dominates
 that rise.  The child's ``ru_maxrss`` would not do: Linux carries the
 high-water mark of the process that started a child across its exec, so it
-can read the size of the test process instead.  The ablate case reads the
-``tracemalloc`` peak of an in-process run, which counts numpy's buffers.
+can read the size of the test process instead.  The ablate and generate
+cases read the ``tracemalloc`` peak of an in-process run, which counts
+numpy's buffers.
 """
 
 import os
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import vtcomp
-from vtcomp import cli
+from vtcomp import SyntheticSpec, cli, generate
 from vtcomp.formats import HEADER, MAGIC, VERSION
 
 SHAPE = (32, 196, 2048)
@@ -28,6 +30,7 @@ PAYLOAD = 4 * SHAPE[0] * SHAPE[1] * SHAPE[2]
 # clear share of the payload.
 ABLATE_SHAPE = (128, 64, 896)
 ABLATE_PAYLOAD = 4 * ABLATE_SHAPE[0] * ABLATE_SHAPE[1] * ABLATE_SHAPE[2]
+GENERATE_SHAPE = (8, 64, 896)
 
 CHILD = """
 import sys
@@ -98,3 +101,22 @@ def test_ablate_frees_the_base_rows_before_the_extra_pass(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.32 * ABLATE_PAYLOAD
+
+
+@pytest.mark.parametrize("model, frames", [("iid", 1.5), ("clustered", 1.5), ("outlier", 3.5)])
+def test_generate_draws_every_frame_into_one_buffer(model, frames):
+    # Beyond its float32 block, generate holds one float64 frame buffer; the
+    # outlier frame adds its orthogonal draw and the projection removed from
+    # it.  A float64 temporary per draw, product and sum would put the peak
+    # at 2.0 (iid), 3.2 (clustered) and 4.2 (outlier) frames.
+    spec = SyntheticSpec(*GENERATE_SHAPE, model=model, num_clusters=2, noise_sigma=0.1,
+                         outlier_index=3)
+    generate(SyntheticSpec(2, 3, 4, model=model))  # numpy.random's lazy import stays out
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    t, m, d = GENERATE_SHAPE
+    assert peak - 4 * t * m * d <= frames * 8 * m * d

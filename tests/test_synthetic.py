@@ -83,6 +83,14 @@ class TestSpecValidation:
             {"model": "clustered", "num_clusters": 9},
             {"model": "outlier", "outlier_index": 8},
             {"model": "outlier", "outlier_index": -1},
+            {"frames": 2.5},
+            {"tokens_per_frame": True},
+            {"dim": "4"},
+            {"model": "clustered", "num_clusters": 1.5},
+            {"model": "clustered", "num_clusters": True},
+            {"model": "outlier", "outlier_index": 1.5},
+            {"model": "iid", "outlier_index": 1.5},
+            {"model": "iid", "num_clusters": False},
         ],
     )
     def test_invalid_specs(self, kwargs):
@@ -162,6 +170,7 @@ class TestSeedAndNoise:
     @pytest.mark.parametrize("kwargs", [
         {"seed": -1}, {"seed": 1.5}, {"seed": True}, {"seed": "3"},
         {"noise_sigma": float("nan")}, {"noise_sigma": float("inf")},
+        {"noise_sigma": True}, {"noise_sigma": "0.1"}, {"noise_sigma": 10**400},
     ])
     def test_rejected_before_drawing(self, kwargs):
         with pytest.raises(ConfigError):
@@ -170,3 +179,15 @@ class TestSeedAndNoise:
     def test_numpy_seed_is_a_plain_int(self):
         spec = SyntheticSpec(frames=2, tokens_per_frame=3, dim=2, seed=np.int64(7))
         assert type(spec.seed) is int and spec.seed == 7
+
+    def test_numpy_integers_are_plain_ints(self):
+        spec = SyntheticSpec(frames=np.int32(4), tokens_per_frame=np.uint8(3), dim=np.int64(2),
+                             model="outlier", outlier_index=np.int16(3), num_clusters=np.int8(2))
+        for name in ("frames", "tokens_per_frame", "dim", "outlier_index", "num_clusters"):
+            assert type(getattr(spec, name)) is int
+        assert generate(spec).values.shape == (4, 3, 2)
+
+    def test_iid_keeps_an_out_of_range_outlier_index(self):
+        # gen --model iid --outlier -1 runs: the range applies to outlier only.
+        spec = SyntheticSpec(frames=2, tokens_per_frame=3, dim=2, outlier_index=-1)
+        assert spec.outlier_index == -1
