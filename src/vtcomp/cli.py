@@ -48,6 +48,7 @@ from .model import (
     ScoreMode,
     ScoreReport,
     TokenTensor,
+    int_at_least,
 )
 from .policies import POLICY_NAMES, Policy
 from .synthetic import MODELS, SyntheticSpec, generate
@@ -58,16 +59,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _window_value(text: str):
-    if text == "global":
-        return "global"
+def _positive_int(text: str, word: str, name: str) -> int:
+    """``text`` as an int >= 1 for the flag ``name``, which also takes ``word``."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'global', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer or {word!r}, got {text!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"window must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
     return value
+
+
+def _window_value(text: str):
+    return "global" if text == "global" else _positive_int(text, "global", "window")
 
 
 def _window_list(text: str) -> list:
@@ -82,13 +86,7 @@ def _threads_value(text: str) -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return max(1, os.cpu_count() or 1)
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"threads must be >= 1, got {value}")
-    return value
+    return _positive_int(text, "auto", "threads")
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
@@ -132,17 +130,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vtcomp", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
+    # One flag per SyntheticSpec field, as in _add_config_flags.
     gen = subs.add_parser("gen", help="generate a synthetic .vtok tensor")
     gen.add_argument("--frames", type=int, required=True)
-    gen.add_argument("--tokens", type=int, required=True)
+    gen.add_argument("--tokens", dest="tokens_per_frame", metavar="TOKENS", type=int,
+                     required=True)
     gen.add_argument("--dim", type=int, required=True)
     gen.add_argument("--model", choices=MODELS, default="iid")
-    gen.add_argument("--clusters", type=int, default=1,
-                     help="scene count for the clustered model")
-    gen.add_argument("--noise", type=float, default=0.0,
-                     help="Gaussian noise sigma")
-    gen.add_argument("--outlier", type=int, default=0,
-                     help="distinct frame index for the outlier model")
+    gen.add_argument("--clusters", dest="num_clusters", metavar="CLUSTERS", type=int,
+                     default=1, help="scene count for the clustered model")
+    gen.add_argument("--noise", dest="noise_sigma", metavar="NOISE", type=float,
+                     default=0.0, help="Gaussian noise sigma")
+    gen.add_argument("--outlier", dest="outlier_index", metavar="OUTLIER", type=int,
+                     default=0, help="distinct frame index for the outlier model")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", "-o", required=True)
     gen.set_defaults(func=_cmd_gen)
@@ -188,17 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> None:
-    spec = SyntheticSpec(
-        frames=args.frames,
-        tokens_per_frame=args.tokens,
-        dim=args.dim,
-        model=args.model,
-        num_clusters=args.clusters,
-        noise_sigma=args.noise,
-        outlier_index=args.outlier,
-        seed=args.seed,
-    )
-    tensor = generate(spec)
+    tensor = generate(SyntheticSpec(**{f.name: getattr(args, f.name)
+                                       for f in fields(SyntheticSpec)}))
     _write_together([(args.output, lambda path: write_vtok(tensor, path))])
     size = os.path.getsize(args.output)
     print(f"wrote {args.output}: {tensor.frames}x{tensor.tokens_per_frame}x"
@@ -347,8 +338,7 @@ def _cmd_ablate(args) -> None:
 
 def _cmd_bench(args) -> None:
     config = _config_from(args)  # reject bad flags before generating
-    if args.iters < 1:
-        raise ConfigError(f"--iters must be >= 1, got {args.iters}")
+    int_at_least("--iters", args.iters, 1)
     spec = SyntheticSpec(frames=args.frames, tokens_per_frame=args.tokens,
                          dim=args.dim, model="iid", seed=args.seed)
     tensor = generate(spec)

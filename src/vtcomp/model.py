@@ -170,7 +170,10 @@ class RetentionConfig:
     stabilizes its denominator.  ``window`` is either ``"global"`` (one
     pooled vector for the whole video) or a chunk size in 1..frames.
     ``alpha``/``beta`` weight the frame-level and video-level uniqueness
-    scores in combined mode.
+    scores in combined mode.  Real fields are stored as plain floats
+    (:func:`finite_float`) and integer fields as plain ints
+    (:func:`int_at_least`): a bool, a non-number, NaN, +-inf or an int too
+    large for a float is a ``ConfigError`` that names the field.
     """
 
     ratio: float = 0.25
@@ -189,17 +192,15 @@ class RetentionConfig:
         object.__setattr__(self, "frame_aggregation", Aggregation(self.frame_aggregation))
         object.__setattr__(self, "score_mode", ScoreMode(self.score_mode))
         for name in ("ratio", "temperature", "epsilon", "alpha", "beta"):
-            if isinstance(value := getattr(self, name), bool) \
-                    or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-        if not (0.0 < self.ratio <= 1.0):
+            object.__setattr__(self, name, finite_float(name, getattr(self, name)))
+        if not 0.0 < self.ratio <= 1.0:
             raise ConfigError(f"ratio must be in (0, 1], got {self.ratio}")
         for name in ("temperature", "epsilon"):
-            if not 0.0 < (value := getattr(self, name)) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
+            if not (value := getattr(self, name)) > 0.0:
+                raise ConfigError(f"{name} must be positive, got {value}")
         for name in ("alpha", "beta"):
-            if not 0.0 <= (value := getattr(self, name)) < math.inf:
-                raise ConfigError(f"{name} must be non-negative and finite, got {value}")
+            if not (value := getattr(self, name)) >= 0.0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
         # |alpha*u_f + beta*u_v| <= fl(alpha + beta): a finite sum cannot overflow.
         if not 0.0 < (total := self.alpha + self.beta) < math.inf:
             raise ConfigError(f"alpha + beta must be positive and finite, got {total}")
@@ -209,11 +210,29 @@ class RetentionConfig:
             object.__setattr__(self, "window", int_at_least("window", self.window, 1))
 
 
-def int_at_least(name: str, value, low: int) -> int:
-    """``value`` as a plain int >= ``low``; numpy integers are accepted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ConfigError(f"{name} must be an int >= {low}, got {value!r}")
+def int_at_least(name: str, value, low: int | None = None) -> int:
+    """``value`` as a plain int, >= ``low`` when a bound is given; numpy
+    integers are accepted.  A bool, a non-integer or a value below ``low``
+    is a ``ConfigError`` that names the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or low is not None and value < low:
+        raise ConfigError(f"{name} must be an int{'' if low is None else f' >= {low}'}, "
+                          f"got {value!r}")
     return int(value)
+
+
+def finite_float(name: str, value) -> float:
+    """``value`` as a plain finite float; a bool, a non-number, NaN, +-inf or
+    an int too large for a float is a ``ConfigError`` that names the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int or fraction past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite as a float, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -267,8 +286,8 @@ class CompressedSelection:
         """
         index = _freeze(np.flatnonzero(keep) % keep.shape[1])
         rows = _freeze(values[keep])
-        cuts = np.cumsum(np.count_nonzero(keep, axis=1))[:-1]
-        return cls(tuple(np.split(index, cuts)), tuple(np.split(rows, cuts)))
+        edges = [0, *np.cumsum(np.count_nonzero(keep, axis=1)).tolist()]
+        return cls(*(tuple(buf[a:b] for a, b in zip(edges, edges[1:])) for buf in (index, rows)))
 
     @property
     def frames(self) -> int:
@@ -290,9 +309,8 @@ class CompressedSelection:
         ignore them.
         """
         counts = self.counts
-        width = int(counts.max()) if len(counts) else 0
-        dim = self.compressed[0].shape[1]
-        out = np.zeros((self.frames, width, dim), dtype=np.float32)
+        dim = self.compressed[0].shape[1] if self.compressed else 0
+        out = np.zeros((self.frames, int(counts.max(initial=0)), dim), dtype=np.float32)
         for t, block in enumerate(self.compressed):
             out[t, : block.shape[0]] = block
         return out, counts

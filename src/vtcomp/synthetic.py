@@ -8,7 +8,6 @@ budgets should visibly diverge from uniform ones).
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .formats import MAX_AXIS
-from .model import TokenTensor, _freeze, int_at_least, validate
+from .model import TokenTensor, _freeze, finite_float, int_at_least, validate
 
 MODELS = ("iid", "clustered", "outlier")
 
@@ -29,7 +28,10 @@ class SyntheticSpec:
     and draws each token as its scene center plus Gaussian noise;
     ``outlier`` gives every frame a shared center except frame
     ``outlier_index``, whose tokens are random vectors orthogonalized
-    against that center.  ``iid`` ignores the extra knobs.
+    against that center.  ``iid`` ignores the extra knobs.  Integer fields
+    are stored as plain ints and ``noise_sigma`` as a plain float: a bool, a
+    non-number, NaN, +-inf or an int too large for a float is a
+    ``ConfigError`` that names the field, raised before any draw.
     """
 
     frames: int
@@ -44,33 +46,23 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        for name in ("frames", "tokens_per_frame", "dim"):
-            object.__setattr__(self, name, int_at_least(name, getattr(self, name), 1))
+        # The knobs are checked on every model, their ranges only where they apply.
+        for name, low in (("frames", 1), ("tokens_per_frame", 1), ("dim", 1), ("seed", 0),
+                          ("num_clusters", None), ("outlier_index", None)):
+            object.__setattr__(self, name, int_at_least(name, getattr(self, name), low))
         if max(self.frames, self.tokens_per_frame, self.dim) > MAX_AXIS:
             raise ConfigError(
                 f"frames, tokens_per_frame, and dim must all be <= {MAX_AXIS}, the .vtok limit")
         if self.frames * self.tokens_per_frame * self.dim * 4 > sys.maxsize:
             raise ConfigError(f"frames x tokens_per_frame x dim float32 exceeds {sys.maxsize} B")
-        # The float max bound keeps a huge int or fraction from overflowing float().
-        if isinstance(sigma := self.noise_sigma, bool) or not isinstance(sigma, numbers.Real) \
-                or not 0.0 <= sigma <= sys.float_info.max:
-            raise ConfigError(f"noise_sigma must be a finite real number >= 0, got {sigma!r}")
-        object.__setattr__(self, "noise_sigma", float(sigma))
-        object.__setattr__(self, "seed", int_at_least("seed", self.seed, 0))
-        # Both knobs are checked on every model, their ranges only where they apply.
-        for name in ("num_clusters", "outlier_index"):
-            if isinstance(value := getattr(self, name), bool) \
-                    or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.model == "clustered" and not (1 <= self.num_clusters <= self.frames):
-            raise ConfigError(
-                f"num_clusters must be in 1..{self.frames}, got {self.num_clusters}"
-            )
-        if self.model == "outlier" and not (0 <= self.outlier_index < self.frames):
-            raise ConfigError(
-                f"outlier_index must be in 0..{self.frames - 1}, got {self.outlier_index}"
-            )
+        object.__setattr__(self, "noise_sigma", finite_float("noise_sigma", self.noise_sigma))
+        if self.noise_sigma < 0.0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if self.model == "clustered" and not 1 <= self.num_clusters <= self.frames:
+            raise ConfigError(f"num_clusters must be in 1..{self.frames}, got {self.num_clusters}")
+        if self.model == "outlier" and not 0 <= self.outlier_index < self.frames:
+            raise ConfigError(f"outlier_index must be in 0..{self.frames - 1}, "
+                              f"got {self.outlier_index}")
 
 
 def generate(spec: SyntheticSpec) -> TokenTensor:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -912,3 +913,51 @@ class TestRealWidthDigests:
         lib = accum._lib if body == "loaded" else request.getfixturevalue("baseline_lib")
         expected = json.loads(REAL_WIDTH_DIGESTS.read_text())
         assert _with_lib(lib, real_width_digests, tmp_path) == expected
+
+
+# (shape, config) pairs at real widths and at the compiled kernels' edges:
+# 3583 = 4*895 + 3 channels reach the one-channel tail and the token tail of
+# the 8x8 transpose tiles, and 513 tokens run one column past a TILE run.
+ORACLE_CASES = {
+    "2x7x3583 window 1": ((2, 7, 3583), RetentionConfig(window=1)),
+    "3x40x3584 max": ((3, 40, 3584), RetentionConfig(frame_aggregation=Aggregation.MAX)),
+    "4x196x896 video_only": ((4, 196, 896), RetentionConfig(score_mode=ScoreMode.VIDEO_ONLY)),
+    "2x513x896 window 1": ((2, 513, 896), RetentionConfig(window=1)),
+    "2x576x1024 defaults": ((2, 576, 1024), RetentionConfig()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_case(name):
+    """The case's tensor and the oracle's combined scores, frame weights and
+    kept indices, computed once per case."""
+    shape, cfg = ORACLE_CASES[name]
+    values = np.random.default_rng(shape).standard_normal(shape).astype(np.float32)
+    ref = reference_compress(
+        tensor_to_lists(values), cfg.ratio, tau=cfg.temperature, eps=cfg.epsilon,
+        window=None if cfg.window == "global" else cfg.window,
+        aggregation=cfg.frame_aggregation.value, score_mode=cfg.score_mode.value,
+        alpha=cfg.alpha, beta=cfg.beta, adjustment=cfg.adjustment.value,
+        min_tokens=cfg.min_tokens_per_frame)
+    expected = (np.array(ref["combined"]).tobytes(), np.array(ref["sigma"]).tobytes(),
+                ref["kept"])
+    return TokenTensor.from_array(values), expected
+
+
+class TestOracleAtRealWidths:
+    """Every body, at one and two threads, gives the oracle's bits where the
+    compiled kernels split their work."""
+
+    @pytest.mark.parametrize("body", ["loaded", "baseline", "numpy"])
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_bodies_match_the_oracle(self, request, name, body):
+        if body == "baseline":
+            lib = request.getfixturevalue("baseline_lib")
+        else:
+            lib = accum._lib if body == "loaded" else None
+        tensor, expected = _oracle_case(name)
+        for threads in (1, 2):
+            r = _with_lib(lib, compress, tensor, ORACLE_CASES[name][1], threads=threads)
+            got = (r.report.combined_score.tobytes(), r.report.frame_weight.tobytes(),
+                   [i.tolist() for i in r.selection.kept_indices])
+            assert got == expected, (body, threads)

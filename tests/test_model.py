@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtcomp import (
+    CompressedSelection,
     ConfigError,
     DimensionMismatchError,
     LengthMismatchError,
@@ -284,6 +286,28 @@ class TestRetentionConfig:
     def test_real_fields_accept_numpy_scalars(self, value):
         assert RetentionConfig(ratio=value, alpha=value).ratio == value
 
+    def test_fraction_is_stored_as_a_plain_float(self):
+        cfg = RetentionConfig(ratio=Fraction(1, 4))
+        assert type(cfg.ratio) is float and cfg.ratio == 0.25
+        tensor = TokenTensor.from_array(np.random.default_rng(5).standard_normal((4, 8, 3)))
+        got, expected = (compress(tensor, c) for c in (cfg, RetentionConfig(ratio=0.25)))
+        for a, b in ((got.report, expected.report), (got.allocation, expected.allocation)):
+            assert [x.tobytes() for x in vars(a).values()] == \
+                [x.tobytes() for x in vars(b).values()]
+        assert [i.tolist() for i in got.selection.kept_indices] == \
+            [i.tolist() for i in expected.selection.kept_indices]
+
+    @pytest.mark.parametrize("name", ["temperature", "epsilon", "alpha", "beta"])
+    def test_int_past_the_float_range_names_the_field(self, name):
+        with pytest.raises(ConfigError, match=name):
+            RetentionConfig(**{name: 10**400})
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(1)])
+    def test_numpy_scalars_are_stored_as_plain_floats(self, value):
+        names = ("ratio", "temperature", "epsilon", "alpha", "beta")
+        cfg = RetentionConfig(**dict.fromkeys(names, value))
+        assert all(type(getattr(cfg, name)) is float for name in names)
+
     def test_string_enums_coerced(self):
         cfg = RetentionConfig(adjustment="uniform", frame_aggregation="max",
                               score_mode="video_only")
@@ -294,3 +318,26 @@ class TestRetentionConfig:
     def test_unknown_enum_string_rejected(self):
         with pytest.raises(ValueError):
             RetentionConfig(score_mode="sideways")
+
+
+class TestCompressedSelection:
+    def test_zero_frame_mask_has_no_frames(self):
+        selection = CompressedSelection.from_mask(np.zeros((0, 5, 3), np.float32),
+                                                  np.zeros((0, 5), bool))
+        assert selection.frames == 0
+        assert selection.kept_indices == () and selection.compressed == ()
+        block, counts = selection.padded()
+        assert block.shape[:2] == (0, 0) and counts.shape == (0,)
+
+    def test_frames_are_read_only_views_of_one_gather(self):
+        values = np.arange(3 * 4 * 2, dtype=np.float32).reshape(3, 4, 2)
+        keep = np.array([[1, 0, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1]], dtype=bool)
+        selection = CompressedSelection.from_mask(values, keep)
+        assert [i.tolist() for i in selection.kept_indices] == [[0, 2], [], [0, 1, 2, 3]]
+        assert selection.counts.tolist() == [2, 0, 4]
+        for t, (index, rows) in enumerate(zip(selection.kept_indices, selection.compressed)):
+            assert np.array_equal(rows, values[t, index])
+            assert not index.flags.writeable and not rows.flags.writeable
+        for buffers in (selection.kept_indices, selection.compressed):
+            assert len({id(a.base) for a in buffers}) == 1
+            assert buffers[0].base is not None and buffers[0].base is not values
