@@ -29,7 +29,11 @@ indices and rows, every transposed block and every norm and dot grid, in
 ``POOLS`` order) must be the same for both sides and both bodies in every
 round; on a mismatch the script names it on stderr and exits 1.
 Otherwise it prints one JSON object, the best and median ms per body,
-side and shape, and writes it to ``--out`` when given.
+side and shape, and writes it to ``--out`` when given.  Both sides run in
+every round, so each round is a pair: beside the sides, ``pair_ratio``
+records for every stage the median and quartiles (inclusive method) of the
+rounds' change/parent ratios, which a host that changes speed between
+rounds moves less than the side medians.
 """
 
 from __future__ import annotations
@@ -105,6 +109,15 @@ def summary(times: list[float]) -> dict:
     return {"best": round(min(times), 3), "median": round(statistics.median(times), 3)}
 
 
+def pair_ratio(parent: list[float], change: list[float]) -> dict:
+    """Median and quartiles of the per-round change/parent ratios (every
+    timed stage takes a positive time)."""
+    ratios = [c / p for p, c in zip(parent, change)]
+    q1, median, q3 = (statistics.quantiles(ratios, n=4, method="inclusive")
+                      if len(ratios) > 1 else ratios * 3)
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
 def main(argv=None, grid: dict | None = None) -> int:
     """Run the A/B over ``grid`` ((frames, tokens, dim) -> rounds, the fixed
     grid by default); returns the exit code."""
@@ -150,8 +163,10 @@ def main(argv=None, grid: dict | None = None) -> int:
                             for stage, ms in {"compress_ms": c_ms, **stage_ms}.items():
                                 times[side][stage].append(ms)
                     report["bodies"].setdefault(body, {})[name] = {
-                        side: {stage: summary(ms) for stage, ms in stages.items()}
-                        for side, stages in times.items()}
+                        **{side: {stage: summary(ms) for stage, ms in stages.items()}
+                           for side, stages in times.items()},
+                        "pair_ratio": {stage: pair_ratio(ms, times["change"][stage])
+                                       for stage, ms in times["parent"].items()}}
     finally:
         accum._lib = loaded
 

@@ -9,28 +9,25 @@ retention ratio at the preset value while shifting tokens between frames.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
 import numpy as np
 
 from . import accum
 from .errors import WindowOutOfRangeError
-from .model import Aggregation, BudgetAllocation, TokenTensor
+from .model import Aggregation, BudgetAllocation, TokenTensor, int_in
 
 
 def window_edges(frames: int, window: int | str) -> list[tuple[int, int]]:
-    """Contiguous chunk bounds for a window size (any integer but a bool), validated.
+    """Contiguous chunk bounds for a window size, validated.
 
     ``"global"`` (or window == frames) yields the single chunk [0, frames);
     otherwise frames partition into [0, w), [w, 2w), ... with a shorter tail.
+    Any other window goes through ``int_in``: a bool, a non-integer or an int
+    outside 1..frames, of any size, is a ``WindowOutOfRangeError`` naming it.
     """
     if window == "global":
         return [(0, frames)]
-    if not isinstance(window, Integral) or isinstance(window, bool) or not 1 <= window <= frames:
-        raise WindowOutOfRangeError(
-            f"window must be 'global' or an int in 1..{frames}, got {window!r}"
-        )
-    window = int(window)
+    window = int_in("window", window, 1, frames, WindowOutOfRangeError)
     return [(a, min(a + window, frames)) for a in range(0, frames, window)]
 
 

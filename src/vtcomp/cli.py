@@ -48,7 +48,7 @@ from .model import (
     ScoreMode,
     ScoreReport,
     TokenTensor,
-    int_at_least,
+    int_in,
 )
 from .policies import POLICY_NAMES, Policy
 from .synthetic import MODELS, SyntheticSpec, generate
@@ -61,13 +61,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_int(text: str, word: str, name: str) -> int:
     """``text`` as an int >= 1 for the flag ``name``, which also takes ``word``."""
-    try:
-        value = int(text)
+    try:  # ArgumentTypeError is not a ValueError
+        return int_in(name, int(text), 1, error=argparse.ArgumentTypeError)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer or {word!r}, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
-    return value
 
 
 def _window_value(text: str):
@@ -338,7 +335,7 @@ def _cmd_ablate(args) -> None:
 
 def _cmd_bench(args) -> None:
     config = _config_from(args)  # reject bad flags before generating
-    int_at_least("--iters", args.iters, 1)
+    int_in("--iters", args.iters, 1)
     spec = SyntheticSpec(frames=args.frames, tokens_per_frame=args.tokens,
                          dim=args.dim, model="iid", seed=args.seed)
     tensor = generate(spec)

@@ -40,6 +40,7 @@ from .model import (
     ScoreMode,
     ScoreReport,
     TokenTensor,
+    shown,
 )
 
 
@@ -127,9 +128,9 @@ def keep_top(ranks: np.ndarray, counts) -> np.ndarray:
     """The (T, M) keep mask of the ``counts[t]`` best-ranked tokens of row t.
 
     Row t of ``ranks`` places each token, 0 first, so one ranking serves
-    any number of count vectors.  Counts must have shape ``(T,)`` and lie in
-    0..M.  A bool count, or a float count that is not whole (NaN
-    included), is a ``ConfigError``, as in ``int_at_least``.
+    any number of count vectors.  Counts have shape ``(T,)``: a bool count, or
+    a float one that is not whole (NaN included), is a ``ConfigError``, and
+    one outside 0..M, of any size, a ``KExceedsMError`` naming the first.
     """
     frames, tokens = ranks.shape
     array = np.asarray(counts)
@@ -138,12 +139,12 @@ def keep_top(ranks: np.ndarray, counts) -> np.ndarray:
     # numpy makes a list that mixes bools and ints an int array: check its items.
     items = () if isinstance(counts, np.ndarray) else np.asarray(counts, dtype=object)
     if array.dtype == bool or any(isinstance(c, (bool, np.bool_)) for c in items):
-        raise ConfigError(f"counts must be whole numbers, not bools: {counts!r}")
+        raise ConfigError("counts must be whole numbers, not bools")
     if array.dtype.kind == "f" and not np.array_equal(np.floor(array), array):  # NaN too
         raise ConfigError(f"counts must be whole numbers, got {counts!r}")
     bad = (array < 0) | (array > tokens)
     if bad.any():
-        raise KExceedsMError(f"k={array[bad][0]} outside 0..{tokens}")
+        raise KExceedsMError(f"k={shown(array[bad][:1].tolist()[0])} outside 0..{tokens}")
     return ranks < array[:, None]
 
 

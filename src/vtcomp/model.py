@@ -119,9 +119,10 @@ def cosine(a, b) -> float:
     """Cosine similarity with a zero-norm convention and clamped output.
 
     Accumulates the dot product and squared norms left to right over the
-    channels in float64.  If either vector has zero norm the similarity is
-    defined as 0.0 (neutral), and the result is clamped to [-1, 1] so that
-    floating-point overshoot cannot leak out of the mathematical range.
+    channels in float64, each vector first scaled by the power of two of its
+    largest magnitude (exact; no square overflows or underflows).  A
+    zero-norm vector gives 0.0 (neutral), and the result is clamped to
+    [-1, 1] so floating-point overshoot cannot leak out of the range.
     """
     av = np.asarray(a, dtype=np.float64).reshape(-1)
     bv = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -129,8 +130,8 @@ def cosine(a, b) -> float:
         raise LengthMismatchError(f"vector lengths differ: {av.size} vs {bv.size}")
     if av.size == 0:
         return 0.0
-    na = math.sqrt(float(ordered_sums(av * av)))
-    nb = math.sqrt(float(ordered_sums(bv * bv)))
+    av, bv = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (av, bv))
+    na, nb = (math.sqrt(float(ordered_sums(v * v))) for v in (av, bv))
     if na == 0.0 or nb == 0.0:
         return 0.0
     s = float(ordered_sums(av * bv)) / (na * nb)
@@ -171,9 +172,9 @@ class RetentionConfig:
     pooled vector for the whole video) or a chunk size in 1..frames.
     ``alpha``/``beta`` weight the frame-level and video-level uniqueness
     scores in combined mode.  Real fields are stored as plain floats
-    (:func:`finite_float`) and integer fields as plain ints
-    (:func:`int_at_least`): a bool, a non-number, NaN, +-inf or an int too
-    large for a float is a ``ConfigError`` that names the field.
+    (:func:`finite_float`) and integer fields as plain ints (:func:`int_in`):
+    a bool, a non-number, NaN, +-inf, an int too large for a float or an int
+    out of range is a ``ConfigError`` that names the field.
     """
 
     ratio: float = 0.25
@@ -205,20 +206,27 @@ class RetentionConfig:
         if not 0.0 < (total := self.alpha + self.beta) < math.inf:
             raise ConfigError(f"alpha + beta must be positive and finite, got {total}")
         object.__setattr__(self, "min_tokens_per_frame",
-                           int_at_least("min_tokens_per_frame", self.min_tokens_per_frame, 1))
+                           int_in("min_tokens_per_frame", self.min_tokens_per_frame, 1))
         if self.window != "global":
-            object.__setattr__(self, "window", int_at_least("window", self.window, 1))
+            object.__setattr__(self, "window", int_in("window", self.window, 1))
 
 
-def int_at_least(name: str, value, low: int | None = None) -> int:
-    """``value`` as a plain int, >= ``low`` when a bound is given; numpy
-    integers are accepted.  A bool, a non-integer or a value below ``low``
-    is a ``ConfigError`` that names the field."""
+def int_in(name: str, value, low=None, high=None, error=ConfigError) -> int:
+    """``value`` as a plain int in ``low..high`` (either bound optional), numpy
+    integers included.  A bool, a non-integer or an int out of range, of any
+    size, is an ``error`` naming the field, its range and the :func:`shown` value."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or low is not None and value < low:
-        raise ConfigError(f"{name} must be an int{'' if low is None else f' >= {low}'}, "
-                          f"got {value!r}")
+            or low is not None and value < low or high is not None and value > high:
+        span = (f" in {low}..{high}" if None not in (low, high) else
+                f" >= {low}" if low is not None else f" <= {high}" if high is not None else "")
+        raise error(f"{name} must be an int{span}, got {shown(value)}")
     return int(value)
+
+
+def shown(value) -> str:
+    """``repr(value)``, but an int past 60 digits by its sign and power of ten."""
+    big = isinstance(value, numbers.Integral) and abs(int(value)) >= 10**60
+    return f"about {'-' * (value < 0)}10**{math.log10(abs(value)):.0f}" if big else repr(value)
 
 
 def finite_float(name: str, value) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from .budget import allocate_uniform
 from .compress import compress, keep_top
 from .errors import ConfigError
-from .model import Adjustment, CompressedSelection, RetentionConfig, TokenTensor, int_at_least
+from .model import Adjustment, CompressedSelection, RetentionConfig, TokenTensor, int_in
 
 POLICY_NAMES = ("vidcom2", "random", "uniform")
 
@@ -41,7 +41,7 @@ class Policy:
     def __post_init__(self):
         if self.name not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.name!r}, expected one of {POLICY_NAMES}")
-        object.__setattr__(self, "seed", int_at_least("seed", self.seed, 0))
+        object.__setattr__(self, "seed", int_in("seed", self.seed, 0))
         config = self.config or RetentionConfig()
         if self.name in ("uniform", "random"):
             config = replace(config, adjustment=Adjustment.UNIFORM)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .formats import MAX_AXIS
-from .model import TokenTensor, _freeze, finite_float, int_at_least, validate
+from .model import TokenTensor, _freeze, finite_float, int_in, validate
 
 MODELS = ("iid", "clustered", "outlier")
 
@@ -30,8 +30,9 @@ class SyntheticSpec:
     ``outlier_index``, whose tokens are random vectors orthogonalized
     against that center.  ``iid`` ignores the extra knobs.  Integer fields
     are stored as plain ints and ``noise_sigma`` as a plain float: a bool, a
-    non-number, NaN, +-inf or an int too large for a float is a
-    ``ConfigError`` that names the field, raised before any draw.
+    non-number, NaN, +-inf, an int too large for a float or an int out of
+    range (an axis past ``MAX_AXIS``) is a ``ConfigError`` naming the field,
+    raised before any draw.
     """
 
     frames: int
@@ -46,23 +47,18 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"unknown model {self.model!r}, expected one of {MODELS}")
-        # The knobs are checked on every model, their ranges only where they apply.
-        for name, low in (("frames", 1), ("tokens_per_frame", 1), ("dim", 1), ("seed", 0),
-                          ("num_clusters", None), ("outlier_index", None)):
-            object.__setattr__(self, name, int_at_least(name, getattr(self, name), low))
-        if max(self.frames, self.tokens_per_frame, self.dim) > MAX_AXIS:
-            raise ConfigError(
-                f"frames, tokens_per_frame, and dim must all be <= {MAX_AXIS}, the .vtok limit")
+        object.__setattr__(self, "frames", int_in("frames", self.frames, 1, MAX_AXIS))
+        clusters = (1, self.frames) if self.model == "clustered" else (None, None)
+        outlier = (0, self.frames - 1) if self.model == "outlier" else (None, None)
+        for name, (low, high) in (("tokens_per_frame", (1, MAX_AXIS)), ("dim", (1, MAX_AXIS)),
+                                  ("seed", (0, None)), ("num_clusters", clusters),
+                                  ("outlier_index", outlier)):
+            object.__setattr__(self, name, int_in(name, getattr(self, name), low, high))
         if self.frames * self.tokens_per_frame * self.dim * 4 > sys.maxsize:
             raise ConfigError(f"frames x tokens_per_frame x dim float32 exceeds {sys.maxsize} B")
         object.__setattr__(self, "noise_sigma", finite_float("noise_sigma", self.noise_sigma))
         if self.noise_sigma < 0.0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.model == "clustered" and not 1 <= self.num_clusters <= self.frames:
-            raise ConfigError(f"num_clusters must be in 1..{self.frames}, got {self.num_clusters}")
-        if self.model == "outlier" and not 0 <= self.outlier_index < self.frames:
-            raise ConfigError(f"outlier_index must be in 0..{self.frames - 1}, "
-                              f"got {self.outlier_index}")
 
 
 def generate(spec: SyntheticSpec) -> TokenTensor:

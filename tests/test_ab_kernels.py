@@ -36,6 +36,18 @@ def test_same_source_on_both_sides_gives_equal_bytes(tmp_path):
         for side in ("parent", "change"):
             assert set(report["bodies"][body]["3x10x11"][side]) == {
                 "compress_ms", "transpose_ms", "reduce_p1_ms", "reduce_p2_ms", "reduce_p4_ms"}
+        ratios = report["bodies"][body]["3x10x11"]["pair_ratio"]
+        assert set(ratios) == set(report["bodies"][body]["3x10x11"]["parent"])
+        assert all(set(r) == {"median", "q1", "q3"} and r["q1"] <= r["median"] <= r["q3"]
+                   for r in ratios.values())
+
+
+def test_pair_ratio_summarizes_the_rounds_change_over_parent():
+    pair_ratio = load().pair_ratio
+    # Ratios 2.0, 0.5, 1.0, 1.5, 3.0: inclusive quartiles 1.0 and 2.0.
+    assert pair_ratio([1.0, 4.0, 2.0, 2.0, 1.0], [2.0, 2.0, 2.0, 3.0, 3.0]) == {
+        "median": 1.5, "q1": 1.0, "q3": 2.0}
+    assert pair_ratio([4.0], [3.0]) == {"median": 0.75, "q1": 0.75, "q3": 0.75}
 
 
 def test_a_mutated_tail_copy_exits_1(tmp_path, capsys):

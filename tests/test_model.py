@@ -10,17 +10,24 @@ from vtcomp import (
     CompressedSelection,
     ConfigError,
     DimensionMismatchError,
+    KExceedsMError,
     LengthMismatchError,
     NonFiniteError,
+    Policy,
     RetentionConfig,
     SyntheticSpec,
     TokenTensor,
+    WindowOutOfRangeError,
     compress,
     cosine,
     generate,
+    topk_select,
     validate,
+    window_edges,
 )
 from vtcomp import accum
+from vtcomp.compress import keep_top, token_ranks
+from vtcomp.formats import MAX_AXIS
 
 
 class TestTokenTensor:
@@ -210,6 +217,31 @@ class TestCosine:
         scale = 2.0 ** exponent
         assert cosine([scale * v for v in vec], other) == cosine(vec, other)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e200, 1e-200, -1e300, 5e-320])
+    def test_squares_past_the_float64_range_keep_the_answer(self, value):
+        # value**2 overflows or underflows float64: the norms would be inf or 0.
+        assert cosine([value], [value]) == 1.0
+        assert cosine([value, 0.0], [-value, 0.0]) == -1.0
+        assert cosine([value, 0.0], [0.0, value]) == 0.0
+
+    @given(
+        st.lists(st.floats(2.0**-20, 2.0**20), min_size=1, max_size=8),
+        st.lists(st.booleans(), min_size=8, max_size=8),
+        st.integers(-1000, 1000),
+        st.integers(-1000, 1000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_power_of_two_scaling_is_exact_past_the_square_range(self, vec, signs, k, j):
+        # Every element stays a normal float64 under 2**k and 2**j, though
+        # its square may not.
+        a = [-v if neg else v for v, neg in zip(vec, signs)]
+        b = list(reversed(vec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = cosine([v * 2.0**k for v in a], [v * 2.0**j for v in b])
+        assert scaled == cosine(a, b)
+
     def test_generic_positive_scaling_is_close(self, rng):
         for _ in range(100):
             a = rng.standard_normal(6)
@@ -341,3 +373,73 @@ class TestCompressedSelection:
         for buffers in (selection.kept_indices, selection.compressed):
             assert len({id(a.base) for a in buffers}) == 1
             assert buffers[0].base is not None and buffers[0].base is not values
+
+
+# Every integer entry point: (call, its error kinds, the field its message
+# names, (low, high) with None for no bound).
+RANKS = token_ranks(np.zeros((2, 3)))
+TENSOR = TokenTensor.from_array(np.random.default_rng(0).standard_normal((4, 3, 2)))
+INTEGER_ENTRY_POINTS = {
+    "spec-frames": (lambda v: SyntheticSpec(v, 3, 2), ConfigError, "frames", (1, MAX_AXIS)),
+    "spec-tokens": (lambda v: SyntheticSpec(2, v, 2), ConfigError, "tokens_per_frame",
+                    (1, MAX_AXIS)),
+    "spec-dim": (lambda v: SyntheticSpec(2, 3, v), ConfigError, "dim", (1, MAX_AXIS)),
+    "spec-seed": (lambda v: SyntheticSpec(2, 3, 2, seed=v), ConfigError, "seed", (0, None)),
+    "spec-clusters": (lambda v: SyntheticSpec(4, 3, 2, model="clustered", num_clusters=v),
+                      ConfigError, "num_clusters", (1, 4)),
+    "spec-outlier": (lambda v: SyntheticSpec(4, 3, 2, model="outlier", outlier_index=v),
+                     ConfigError, "outlier_index", (0, 3)),
+    "min-tokens": (lambda v: RetentionConfig(min_tokens_per_frame=v), ConfigError,
+                   "min_tokens_per_frame", (1, None)),
+    "config-window": (lambda v: compress(TENSOR, RetentionConfig(window=v)),
+                      (ConfigError, WindowOutOfRangeError), "window", (1, 4)),
+    "policy-seed": (lambda v: Policy("random", seed=v), ConfigError, "seed", (0, None)),
+    "window-edges": (lambda v: window_edges(4, v), WindowOutOfRangeError, "window", (1, 4)),
+    "keep-top": (lambda v: keep_top(RANKS, [1, v]), KExceedsMError, "k=", (0, 3)),
+    "topk-select": (lambda v: topk_select(np.arange(5.0), v), KExceedsMError, "k=", (0, 5)),
+}
+
+
+def ints_of_any_size(bounds):
+    """+-10**k for k in 0..6000, and each bound +-1."""
+    near = [b + d for b in bounds if b is not None for d in (-1, 0, 1)]
+    return st.one_of(st.builds(lambda sign, k: sign * 10**k, st.sampled_from((1, -1)),
+                               st.integers(0, 6000)), st.sampled_from(near))
+
+
+class TestIntegerEntryPoints:
+    @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_int_is_accepted_in_range_or_raises_its_kind(self, entry, data):
+        call, kinds, field, (low, high) = INTEGER_ENTRY_POINTS[entry]
+        value = data.draw(ints_of_any_size((low, high)), label="value")
+        in_range = (low is None or value >= low) and (high is None or value <= high)
+        try:
+            call(value)
+        except kinds as exc:
+            assert not in_range, exc
+            assert field in str(exc)
+        else:
+            assert in_range
+
+    @pytest.mark.parametrize("call, kind, field", [
+        (lambda: SyntheticSpec(2, 3, 2, seed=-10**5000), ConfigError, "seed"),
+        (lambda: SyntheticSpec(2, 3, 2, model="clustered", num_clusters=10**5000),
+         ConfigError, "num_clusters"),
+        (lambda: SyntheticSpec(2, 3, 2, model="outlier", outlier_index=10**5000),
+         ConfigError, "outlier_index"),
+        (lambda: RetentionConfig(min_tokens_per_frame=-10**5000), ConfigError,
+         "min_tokens_per_frame"),
+        (lambda: Policy("random", seed=-10**5000), ConfigError, "seed"),
+        (lambda: window_edges(4, 10**5000), WindowOutOfRangeError, "window"),
+        (lambda: compress(TENSOR, RetentionConfig(window=10**5000)), WindowOutOfRangeError,
+         "window"),
+        (lambda: topk_select(np.arange(5.0), 10**5000), KExceedsMError, "k="),
+        (lambda: keep_top(RANKS, [1, 10**5000]), KExceedsMError, "k="),
+    ], ids=["spec-seed", "spec-clusters", "spec-outlier", "min-tokens", "policy-seed",
+            "window-edges", "config-window", "topk-select", "keep-top"])
+    def test_an_int_past_the_string_limit_raises_its_kind(self, call, kind, field):
+        with pytest.raises(kind, match=field) as err:
+            call()
+        assert "10**5000" in str(err.value)  # sign and size, not 5001 digits
