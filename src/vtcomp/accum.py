@@ -43,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, int_in
 
 # No -march=native and no fast-math: the library must give the same bits as
 # numpy on any host, and the cached build must load on any x86-64 CPU that
@@ -113,15 +113,6 @@ KERNEL = "numpy" if _lib is None else "c"
 KERNEL_ISA = None if _lib is None else _lib.kernel_isa().decode()
 
 
-def _frame_range(frames: int, start: int, stop: int | None) -> int:
-    """``stop`` (every frame by default) once [start, stop) lies in 0..frames."""
-    if stop is None:
-        stop = frames
-    if not 0 <= start <= stop <= frames:
-        raise ValueError(f"frame range [{start}, {stop}) outside 0..{frames}")
-    return stop
-
-
 def frame_token_sums(values: np.ndarray) -> np.ndarray:
     """Per-frame channel sums: (T, M, D') float32 -> (T, D') float64.
 
@@ -163,12 +154,15 @@ def transpose_tokens(values: np.ndarray, out: np.ndarray | None = None,
 
     Works frame by frame so each source block stays cache-resident.  With
     ``out``/``start``/``stop`` a worker fills a block holding just its own
-    frame range; the default is every frame.  Any ``out`` but a writable
-    C-ordered float32 array of that shape raises ``ShapeMismatchError``.
+    frame range; the default is every frame.  ``start`` must be an int in
+    0..T and ``stop`` one in start..T (:func:`~vtcomp.errors.int_in`), and
+    any ``out`` but a writable C-ordered float32 array of that shape
+    raises ``ShapeMismatchError`` too.
     """
     values = np.ascontiguousarray(values, dtype=np.float32)
     frames, tokens, dim = values.shape
-    stop = _frame_range(frames, start, stop)
+    start = int_in("start", start, 0, frames, ShapeMismatchError)
+    stop = frames if stop is None else int_in("stop", stop, start, frames, ShapeMismatchError)
     shape = (dim, (stop - start) * tokens)
     if out is None:
         out = np.empty(shape, dtype=np.float32)
@@ -201,9 +195,12 @@ def token_reductions(
     compared against.  Returns the (stop - start, M) squared-norm grid and
     the (P, stop - start, M) dot grids, all accumulated left to right over
     channels.  The frame range lets threaded callers compute disjoint
-    slices.  A block or pool matrix of any other shape raises ``ShapeMismatchError``.
+    slices.  A ``start`` that is not an int in 0..T, a ``stop`` that is not
+    one in start..T (:func:`~vtcomp.errors.int_in`), or a block or pool
+    matrix of any other shape raises ``ShapeMismatchError``.
     """
-    stop = _frame_range(frames, start, stop)
+    start = int_in("start", start, 0, frames, ShapeMismatchError)
+    stop = frames if stop is None else int_in("stop", stop, start, frames, ShapeMismatchError)
     block = np.ascontiguousarray(channel_major, dtype=np.float32)
     dim = block.shape[0]
     span = stop - start
@@ -247,12 +244,14 @@ def clamped_cosines(dots: np.ndarray, token_norms: np.ndarray,
 def run_chunked(workers: int, frames: int, phase) -> None:
     """Run phase(start, stop) over contiguous frame chunks.
 
-    Every per-frame quantity is computed independently of the chunking, so
-    output is bit-identical for any worker count; with one worker the phase
-    runs inline.
+    ``workers`` is the caller's ``threads``: an int >= 1 of any size
+    (:func:`~vtcomp.errors.int_in`, a ``ConfigError`` naming ``threads``
+    otherwise), capped at the frame count.  Every per-frame quantity is
+    computed independently of the chunking, so output is bit-identical for
+    any worker count; with one worker (or no frames) the phase runs inline.
     """
-    workers = max(1, min(workers, frames))
-    if workers == 1:
+    workers = min(int_in("threads", workers, 1), frames)
+    if workers <= 1:
         phase(0, frames)
         return
     bounds = [(frames * i // workers, frames * (i + 1) // workers) for i in range(workers)]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import accum
 from .errors import WindowOutOfRangeError
-from .model import Aggregation, BudgetAllocation, TokenTensor, int_in
+from .model import MAX_AXIS, Aggregation, BudgetAllocation, TokenTensor, int_in, real_in
 
 
 def window_edges(frames: int, window: int | str) -> list[tuple[int, int]]:
@@ -95,7 +95,11 @@ def softmax_weights(u, tau: float, eps: float) -> np.ndarray:
     Weights sum to S/(S+eps) where S >= 1, so they fall short of 1 by at
     most eps/(1+eps).  Uses libm's ``math.exp`` (numpy's may differ in the
     last bit) and a left-to-right sum; the shift keeps every exponent <= 0.
+    ``tau`` is checked as ``temperature`` and ``eps`` as ``epsilon``
+    (:func:`~vtcomp.model.real_in`): a value a ``RetentionConfig`` would
+    reject is a ``ConfigError`` naming the parameter.
     """
+    tau, eps = real_in("temperature", tau, "tau"), real_in("epsilon", eps, "eps")
     scores = np.asarray(u, dtype=np.float64)
     with np.errstate(over="ignore"):  # an overflowed shift is -inf: weight 0
         shifted = (scores - scores.max()) / tau
@@ -106,9 +110,14 @@ def softmax_weights(u, tau: float, eps: float) -> np.ndarray:
 def frame_counts(ratios: np.ndarray, tokens_per_frame: int, min_tokens: int) -> np.ndarray:
     """Integer budgets k_t = min(M, max(min_tokens, ceil(r_t * M))).
 
-    ``min_tokens`` of any size is capped at M before numpy sees it; a
-    non-finite r_t raises ``ValueError`` rather than become a count.
+    ``tokens_per_frame`` must be an int in 0..``MAX_AXIS`` and ``min_tokens``
+    an int >= 1 (:func:`~vtcomp.model.int_in`, a ``ConfigError`` naming the
+    parameter otherwise); ``min_tokens`` of any size is capped at M before
+    numpy sees it.  A non-finite r_t raises ``ValueError`` rather than
+    become a count.
     """
+    tokens_per_frame = int_in("tokens_per_frame", tokens_per_frame, 0, MAX_AXIS)
+    min_tokens = int_in("min_tokens", min_tokens, 1)
     wanted = np.ceil(ratios * tokens_per_frame)
     if not np.isfinite(wanted).all():
         raise ValueError(f"retention ratios must be finite, got {ratios}")
@@ -119,8 +128,10 @@ def allocate(sigma, ratio: float, tokens_per_frame: int, min_tokens: int = 1) ->
     """Turn frame weights into retention ratios and integer budgets.
 
     r_t = ratio * (1 + sigma_t - 1/T) exactly as written, unclamped; the
-    integer budget follows :func:`frame_counts`.
+    integer budget follows :func:`frame_counts`.  ``ratio`` is checked as
+    ``RetentionConfig.ratio`` is (:func:`~vtcomp.model.real_in`).
     """
+    ratio = real_in("ratio", ratio)
     weights = np.asarray(sigma, dtype=np.float64)
     ratios = ratio * (1.0 + weights - 1.0 / weights.shape[0])
     return BudgetAllocation(ratios, frame_counts(ratios, tokens_per_frame, min_tokens))
@@ -128,6 +139,11 @@ def allocate(sigma, ratio: float, tokens_per_frame: int, min_tokens: int = 1) ->
 
 def allocate_uniform(frames: int, ratio: float, tokens_per_frame: int,
                      min_tokens: int = 1) -> BudgetAllocation:
-    """Fixed-ratio allocation: every frame keeps ceil(ratio * M) tokens."""
-    ratios = np.full(frames, float(ratio), dtype=np.float64)
+    """Fixed-ratio allocation: every frame keeps ceil(ratio * M) tokens.
+
+    ``frames`` must be an int in 0..``MAX_AXIS`` and ``ratio`` is checked as
+    ``RetentionConfig.ratio`` is; the other two follow :func:`frame_counts`.
+    """
+    frames, ratio = int_in("frames", frames, 0, MAX_AXIS), real_in("ratio", ratio)
+    ratios = np.full(frames, ratio, dtype=np.float64)
     return BudgetAllocation(ratios, frame_counts(ratios, tokens_per_frame, min_tokens))

@@ -40,7 +40,9 @@ from .model import (
     ScoreMode,
     ScoreReport,
     TokenTensor,
+    real_in,
     shown,
+    weight_sum_in,
 )
 
 
@@ -66,7 +68,12 @@ def combine_scores(u_frame, u_video, mode: ScoreMode = ScoreMode.COMBINED,
     Combined mode computes alpha*frame + beta*video (defaults weight them
     equally); the single-score modes pass one grid through, and the
     positive variants flip its sign to prefer redundant tokens instead.
+    In every mode ``alpha`` and ``beta`` are checked as ``RetentionConfig``
+    checks them, the pair rule included (:func:`~vtcomp.model.real_in`,
+    :func:`~vtcomp.model.weight_sum_in`).
     """
+    alpha, beta = real_in("alpha", alpha), real_in("beta", beta)
+    weight_sum_in(alpha, beta)
     uf = np.asarray(u_frame, dtype=np.float64)
     uv = np.asarray(u_video, dtype=np.float64)
     if uf.shape != uv.shape:
@@ -124,28 +131,42 @@ def token_ranks(grid) -> np.ndarray:
     return ranks
 
 
+def _whole(count):
+    """One count as a plain int (+-inf as it is: whole, but past any M).  A
+    bool, or anything that is not a whole number (NaN, 0.5,
+    ``Fraction(1, 2)``, a str), is a ``ConfigError``."""
+    try:
+        whole = int(count)
+    except OverflowError:
+        return count
+    except (TypeError, ValueError):  # NaN or not a number
+        whole = None
+    if isinstance(count, (bool, np.bool_)) or whole is None or whole != count:
+        raise ConfigError(f"counts must be whole numbers, got {shown(count)}")
+    return whole
+
+
 def keep_top(ranks: np.ndarray, counts) -> np.ndarray:
     """The (T, M) keep mask of the ``counts[t]`` best-ranked tokens of row t.
 
     Row t of ``ranks`` places each token, 0 first, so one ranking serves
-    any number of count vectors.  Counts have shape ``(T,)``: a bool count, or
-    a float one that is not whole (NaN included), is a ``ConfigError``, and
-    one outside 0..M, of any size, a ``KExceedsMError`` naming the first.
+    any number of count vectors.  Counts have shape ``(T,)``.  An integer
+    numpy array is used as it is; any other input is converted once, item
+    by item: a bool, or a number that is not whole (NaN, 0.5,
+    ``Fraction(1, 2)``), is a ``ConfigError``, and a whole float, fraction
+    or decimal becomes its int.  A count outside 0..M, of any size or
+    infinite, is a ``KExceedsMError`` naming the first.
     """
     frames, tokens = ranks.shape
-    array = np.asarray(counts)
+    array = counts if isinstance(counts, np.ndarray) else np.asarray(counts, dtype=object)
     if array.shape != (frames,):
         raise ShapeMismatchError(f"expected {frames} counts, got shape {array.shape}")
-    # numpy makes a list that mixes bools and ints an int array: check its items.
-    items = () if isinstance(counts, np.ndarray) else np.asarray(counts, dtype=object)
-    if array.dtype == bool or any(isinstance(c, (bool, np.bool_)) for c in items):
-        raise ConfigError("counts must be whole numbers, not bools")
-    if array.dtype.kind == "f" and not np.array_equal(np.floor(array), array):  # NaN too
-        raise ConfigError(f"counts must be whole numbers, got {counts!r}")
+    if array.dtype.kind not in "iu":
+        array = np.array([_whole(c) for c in array.tolist()], dtype=object)
     bad = (array < 0) | (array > tokens)
     if bad.any():
         raise KExceedsMError(f"k={shown(array[bad][:1].tolist()[0])} outside 0..{tokens}")
-    return ranks < array[:, None]
+    return ranks < array.astype(np.int64, copy=False)[:, None]
 
 
 def topk_select(scores, k):

@@ -1,8 +1,13 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the one integer check.
 
 Every error carries a short stable ``kind`` string that the CLI prints as
 ``error: <kind>: <message>`` on stderr, so scripts can match on it.
+:func:`int_in` lives here, beside the kinds it raises, so that every module
+(the kernels in :mod:`vtcomp.accum` included) can check an integer the same way.
 """
+
+import math
+import numbers
 
 
 class VtcompError(Exception):
@@ -90,3 +95,21 @@ class OversizedPayloadError(VtokFormatError):
     """File is longer than its header-declared payload."""
 
     kind = "oversized-payload"
+
+
+def int_in(name: str, value, low=None, high=None, error=ConfigError) -> int:
+    """``value`` as a plain int in ``low..high`` (either bound optional), numpy
+    integers included.  A bool, a non-integer or an int out of range, of any
+    size, is an ``error`` naming the field, its range and the :func:`shown` value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or low is not None and value < low or high is not None and value > high:
+        span = (f" in {low}..{high}" if None not in (low, high) else
+                f" >= {low}" if low is not None else f" <= {high}" if high is not None else "")
+        raise error(f"{name} must be an int{span}, got {shown(value)}")
+    return int(value)
+
+
+def shown(value) -> str:
+    """``repr(value)``, but an int past 60 digits by its sign and power of ten."""
+    big = isinstance(value, numbers.Integral) and abs(int(value)) >= 10**60
+    return f"about {'-' * (value < 0)}10**{math.log10(abs(value)):.0f}" if big else repr(value)

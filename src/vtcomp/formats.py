@@ -34,12 +34,11 @@ from .errors import (
     ShapeMismatchError,
     TruncatedPayloadError,
 )
-from .model import BudgetAllocation, ScoreReport, TokenTensor
+from .model import MAX_AXIS, BudgetAllocation, ScoreReport, TokenTensor
 
 MAGIC = b"VTK1"
 VERSION = 1
 HEADER = struct.Struct("<4sHIII")
-MAX_AXIS = 2**32 - 1  # T, M and D' are uint32 header fields
 
 
 def write_vtok(tensor: TokenTensor, path) -> None:

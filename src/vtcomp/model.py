@@ -22,7 +22,11 @@ from .errors import (
     DimensionMismatchError,
     LengthMismatchError,
     NonFiniteError,
+    int_in,
+    shown,
 )
+
+MAX_AXIS = 2**32 - 1  # T, M and D' are uint32 .vtok header fields
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -77,17 +81,23 @@ class TokenTensor:
 
     @classmethod
     def from_flat(cls, frames: int, tokens_per_frame: int, dim: int, data) -> "TokenTensor":
-        """Build from a row-major flat buffer: check the length exactly, then
-        copy and validate through :meth:`from_array`."""
+        """Build from a row-major flat buffer: check the axes and the length
+        exactly, then copy and validate through :meth:`from_array`.
+
+        Each axis goes through :func:`int_in` first: a bool, a non-integer or
+        an int below 1, of any size, is a ``DimensionMismatchError`` naming
+        the axis, as is a length other than the axes' product.
+        """
+        axes = {"frames": frames, "tokens_per_frame": tokens_per_frame, "dim": dim}
+        shape = tuple(int_in(name, n, 1, error=DimensionMismatchError) for name, n in axes.items())
         with np.errstate(over="ignore"):  # inf, rejected as in from_array
             flat = np.asarray(data, dtype=np.float32).reshape(-1)
-        expected = frames * tokens_per_frame * dim
-        if flat.size != expected:
+        if flat.size != (expected := math.prod(shape)):
             raise DimensionMismatchError(
-                f"flat data has {flat.size} values, expected "
-                f"{frames}*{tokens_per_frame}*{dim} = {expected}"
+                f"flat data has {flat.size} values, expected frames*tokens_per_frame*dim"
+                f" = {'*'.join(map(shown, shape))} = {shown(expected)}"
             )
-        return cls.from_array(flat.reshape(frames, tokens_per_frame, dim))
+        return cls.from_array(flat.reshape(shape))
 
 
 def validate(tensor: TokenTensor) -> None:
@@ -122,7 +132,9 @@ def cosine(a, b) -> float:
     channels in float64, each vector first scaled by the power of two of its
     largest magnitude (exact; no square overflows or underflows).  A
     zero-norm vector gives 0.0 (neutral), and the result is clamped to
-    [-1, 1] so floating-point overshoot cannot leak out of the range.
+    [-1, 1] so floating-point overshoot cannot leak out of the range.  A NaN
+    or +-inf element raises ``NonFiniteError`` naming the vector (``a`` or
+    ``b``) and the flat index of its first such element.
     """
     av = np.asarray(a, dtype=np.float64).reshape(-1)
     bv = np.asarray(b, dtype=np.float64).reshape(-1)
@@ -130,6 +142,10 @@ def cosine(a, b) -> float:
         raise LengthMismatchError(f"vector lengths differ: {av.size} vs {bv.size}")
     if av.size == 0:
         return 0.0
+    for name, v in (("a", av), ("b", bv)):
+        if not (finite := np.isfinite(v)).all():
+            index = int(np.argmin(finite))
+            raise NonFiniteError(index, f"non-finite value in {name} at flat index {index}")
     av, bv = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (av, bv))
     na, nb = (math.sqrt(float(ordered_sums(v * v))) for v in (av, bv))
     if na == 0.0 or nb == 0.0:
@@ -171,10 +187,11 @@ class RetentionConfig:
     stabilizes its denominator.  ``window`` is either ``"global"`` (one
     pooled vector for the whole video) or a chunk size in 1..frames.
     ``alpha``/``beta`` weight the frame-level and video-level uniqueness
-    scores in combined mode.  Real fields are stored as plain floats
-    (:func:`finite_float`) and integer fields as plain ints (:func:`int_in`):
-    a bool, a non-number, NaN, +-inf, an int too large for a float or an int
-    out of range is a ``ConfigError`` that names the field.
+    scores in combined mode.  Real fields are stored as plain floats within
+    their ``REAL_BOUNDS`` entry (:func:`real_in`), with the pair rule of
+    :func:`weight_sum_in`, and integer fields as plain ints (:func:`int_in`):
+    a bool, a non-number, NaN, +-inf, an int too large for a float or a
+    value out of range is a ``ConfigError`` that names the field.
     """
 
     ratio: float = 0.25
@@ -192,41 +209,44 @@ class RetentionConfig:
         object.__setattr__(self, "adjustment", Adjustment(self.adjustment))
         object.__setattr__(self, "frame_aggregation", Aggregation(self.frame_aggregation))
         object.__setattr__(self, "score_mode", ScoreMode(self.score_mode))
-        for name in ("ratio", "temperature", "epsilon", "alpha", "beta"):
-            object.__setattr__(self, name, finite_float(name, getattr(self, name)))
-        if not 0.0 < self.ratio <= 1.0:
-            raise ConfigError(f"ratio must be in (0, 1], got {self.ratio}")
-        for name in ("temperature", "epsilon"):
-            if not (value := getattr(self, name)) > 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-        for name in ("alpha", "beta"):
-            if not (value := getattr(self, name)) >= 0.0:
-                raise ConfigError(f"{name} must be non-negative, got {value}")
-        # |alpha*u_f + beta*u_v| <= fl(alpha + beta): a finite sum cannot overflow.
-        if not 0.0 < (total := self.alpha + self.beta) < math.inf:
-            raise ConfigError(f"alpha + beta must be positive and finite, got {total}")
+        for name in REAL_BOUNDS:
+            object.__setattr__(self, name, real_in(name, getattr(self, name)))
+        weight_sum_in(self.alpha, self.beta)
         object.__setattr__(self, "min_tokens_per_frame",
                            int_in("min_tokens_per_frame", self.min_tokens_per_frame, 1))
         if self.window != "global":
             object.__setattr__(self, "window", int_in("window", self.window, 1))
 
 
-def int_in(name: str, value, low=None, high=None, error=ConfigError) -> int:
-    """``value`` as a plain int in ``low..high`` (either bound optional), numpy
-    integers included.  A bool, a non-integer or an int out of range, of any
-    size, is an ``error`` naming the field, its range and the :func:`shown` value."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or low is not None and value < low or high is not None and value > high:
-        span = (f" in {low}..{high}" if None not in (low, high) else
-                f" >= {low}" if low is not None else f" <= {high}" if high is not None else "")
-        raise error(f"{name} must be an int{span}, got {shown(value)}")
-    return int(value)
+# The bound of each real RetentionConfig field, written once: a test on the
+# finite float and the phrase that states it.  The stage functions that take
+# one of these values as a parameter check it by the same entry.
+REAL_BOUNDS = {
+    "ratio": (lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+    "temperature": (lambda x: x > 0.0, "positive"),
+    "epsilon": (lambda x: x > 0.0, "positive"),
+    "alpha": (lambda x: x >= 0.0, "non-negative"),
+    "beta": (lambda x: x >= 0.0, "non-negative"),
+}
 
 
-def shown(value) -> str:
-    """``repr(value)``, but an int past 60 digits by its sign and power of ten."""
-    big = isinstance(value, numbers.Integral) and abs(int(value)) >= 10**60
-    return f"about {'-' * (value < 0)}10**{math.log10(abs(value)):.0f}" if big else repr(value)
+def real_in(field: str, value, name: str | None = None) -> float:
+    """``value`` as a plain float within ``field``'s bound in ``REAL_BOUNDS``:
+    :func:`finite_float` first, then the bound.  Each ``ConfigError`` names
+    ``name``, the parameter that took the value (the field by default)."""
+    name = name or field
+    number = finite_float(name, value)
+    holds, bound = REAL_BOUNDS[field]
+    if not holds(number):
+        raise ConfigError(f"{name} must be {bound}, got {number}")
+    return number
+
+
+def weight_sum_in(alpha: float, beta: float) -> None:
+    """The pair rule on two checked weights: 0 < alpha + beta < inf."""
+    # |alpha*u_f + beta*u_v| <= fl(alpha + beta): a finite sum cannot overflow.
+    if not 0.0 < (total := alpha + beta) < math.inf:
+        raise ConfigError(f"alpha + beta must be positive and finite, got {total}")
 
 
 def finite_float(name: str, value) -> float:

@@ -54,8 +54,11 @@ class Policy:
         return f"{self.name}({settings}seed={self.seed})"
 
     def run(self, tensor: TokenTensor, threads: int = 1) -> CompressedSelection:
+        """The policy's selection; ``threads`` must be an int >= 1 for every
+        policy, though only ``compress``'s chunked passes read it."""
         if self.name != "random":
             return compress(tensor, self.config, threads=threads).selection
+        int_in("threads", threads, 1)
         frames, tokens, _ = tensor.values.shape
         counts = allocate_uniform(frames, self.config.ratio, tokens,
                                   self.config.min_tokens_per_frame).per_frame_count

@@ -1,4 +1,8 @@
+import math
+import numbers
+import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -17,17 +21,24 @@ from vtcomp import (
     RetentionConfig,
     SyntheticSpec,
     TokenTensor,
+    ShapeMismatchError,
     WindowOutOfRangeError,
+    allocate,
+    allocate_uniform,
+    combine_scores,
     compress,
     cosine,
     generate,
+    softmax_weights,
     topk_select,
     validate,
     window_edges,
 )
 from vtcomp import accum
+from vtcomp.budget import frame_counts
 from vtcomp.compress import keep_top, token_ranks
 from vtcomp.formats import MAX_AXIS
+from vtcomp.model import shown
 
 
 class TestTokenTensor:
@@ -242,6 +253,21 @@ class TestCosine:
             scaled = cosine([v * 2.0**k for v in a], [v * 2.0**j for v in b])
         assert scaled == cosine(a, b)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b, name, index", [
+        ([math.nan], [1.0], "a", 0),
+        ([math.inf], [1.0], "a", 0),
+        ([1.0, math.nan], [1.0, 1.0], "a", 1),
+        ([math.inf, 1.0], [math.inf, 1.0], "a", 0),
+        ([1.0, 2.0], [1.0, -math.inf], "b", 1),
+        ([[1.0, 2.0], [3.0, math.nan]], [[1.0] * 2] * 2, "a", 3),
+    ])
+    def test_a_non_finite_element_raises_naming_its_vector_and_index(self, a, b, name, index):
+        # A NaN ratio passed through the clamp used to come out as -1.0, "most unique".
+        with pytest.raises(NonFiniteError, match=f"in {name} at flat index {index}") as err:
+            cosine(a, b)
+        assert err.value.flat_index == index
+
     def test_generic_positive_scaling_is_close(self, rng):
         for _ in range(100):
             a = rng.standard_normal(6)
@@ -379,6 +405,8 @@ class TestCompressedSelection:
 # names, (low, high) with None for no bound).
 RANKS = token_ranks(np.zeros((2, 3)))
 TENSOR = TokenTensor.from_array(np.random.default_rng(0).standard_normal((4, 3, 2)))
+POOLS = np.ones((4, 2))
+EMPTY_BLOCK = np.zeros((2, 0), dtype=np.float32)
 INTEGER_ENTRY_POINTS = {
     "spec-frames": (lambda v: SyntheticSpec(v, 3, 2), ConfigError, "frames", (1, MAX_AXIS)),
     "spec-tokens": (lambda v: SyntheticSpec(2, v, 2), ConfigError, "tokens_per_frame",
@@ -397,6 +425,31 @@ INTEGER_ENTRY_POINTS = {
     "window-edges": (lambda v: window_edges(4, v), WindowOutOfRangeError, "window", (1, 4)),
     "keep-top": (lambda v: keep_top(RANKS, [1, v]), KExceedsMError, "k=", (0, 3)),
     "topk-select": (lambda v: topk_select(np.arange(5.0), v), KExceedsMError, "k=", (0, 5)),
+    "compress-threads": (lambda v: compress(TENSOR, threads=v), ConfigError, "threads",
+                         (1, None)),
+    "grids-threads": (lambda v: accum.uniqueness_grids(TENSOR.values, [POOLS], threads=v),
+                      ConfigError, "threads", (1, None)),
+    # One value fills one flat cell, so each axis is accepted at 1 alone; any
+    # other int is an axis below 1 or a length mismatch, both naming the axis.
+    "from-flat-frames": (lambda v: TokenTensor.from_flat(v, 1, 1, [0.0]),
+                         DimensionMismatchError, "frames", (1, 1)),
+    "from-flat-tokens": (lambda v: TokenTensor.from_flat(1, v, 1, [0.0]),
+                         DimensionMismatchError, "tokens_per_frame", (1, 1)),
+    "from-flat-dim": (lambda v: TokenTensor.from_flat(1, 1, v, [0.0]),
+                      DimensionMismatchError, "dim", (1, 1)),
+    "transpose-start": (lambda v: accum.transpose_tokens(TENSOR.values, start=v),
+                        ShapeMismatchError, "start", (0, 4)),
+    "transpose-stop": (lambda v: accum.transpose_tokens(TENSOR.values, stop=v),
+                       ShapeMismatchError, "stop", (0, 4)),
+    # A block of zero tokens has the same (D', 0) shape for every frame range.
+    "reductions-start": (lambda v: accum.token_reductions(EMPTY_BLOCK, 4, 0, [POOLS], start=v),
+                         ShapeMismatchError, "start", (0, 4)),
+    "reductions-stop": (lambda v: accum.token_reductions(EMPTY_BLOCK, 4, 0, [POOLS], stop=v),
+                        ShapeMismatchError, "stop", (0, 4)),
+    "frame-counts-tokens": (lambda v: frame_counts(np.array([0.5, 1.0]), v, 1), ConfigError,
+                            "tokens_per_frame", (0, MAX_AXIS)),
+    "frame-counts-min": (lambda v: frame_counts(np.array([0.5, 1.0]), 10, v), ConfigError,
+                         "min_tokens", (1, None)),
 }
 
 
@@ -443,3 +496,139 @@ class TestIntegerEntryPoints:
         with pytest.raises(kind, match=field) as err:
             call()
         assert "10**5000" in str(err.value)  # sign and size, not 5001 digits
+
+
+# Every real entry point: (call, the name its message gives, the bound an
+# in-range finite float meets).  A value that is not a real number, or is
+# not finite as a float, is never in range.
+GRID = np.zeros((2, 3))
+POSITIVE, NON_NEGATIVE = (lambda x: x > 0.0), (lambda x: x >= 0.0)
+RATIO, PAIR = (lambda x: 0.0 < x <= 1.0), (lambda x: 0.0 < x + x < math.inf)
+REAL_ENTRY_POINTS = {
+    "config-ratio": (lambda v: RetentionConfig(ratio=v), "ratio", RATIO),
+    "config-temperature": (lambda v: RetentionConfig(temperature=v), "temperature", POSITIVE),
+    "config-epsilon": (lambda v: RetentionConfig(epsilon=v), "epsilon", POSITIVE),
+    "config-alpha": (lambda v: RetentionConfig(alpha=v), "alpha", NON_NEGATIVE),
+    "config-beta": (lambda v: RetentionConfig(beta=v), "beta", NON_NEGATIVE),
+    "config-pair": (lambda v: RetentionConfig(alpha=v, beta=v), "alpha", PAIR),
+    "softmax-tau": (lambda v: softmax_weights([0.1, 0.2], v, 1e-8), "tau", POSITIVE),
+    "softmax-eps": (lambda v: softmax_weights([0.1, 0.2], 0.01, v), "eps", POSITIVE),
+    "allocate-ratio": (lambda v: allocate([0.4, 0.6], v, 10), "ratio", RATIO),
+    "allocate-uniform-ratio": (lambda v: allocate_uniform(2, v, 10), "ratio", RATIO),
+    "combine-alpha": (lambda v: combine_scores(GRID, GRID, alpha=v), "alpha", NON_NEGATIVE),
+    "combine-beta": (lambda v: combine_scores(GRID, GRID, beta=v), "beta", NON_NEGATIVE),
+    "combine-pair": (lambda v: combine_scores(GRID, GRID, alpha=v, beta=v), "alpha", PAIR),
+}
+TINY, HUGE = math.nextafter(0.0, 1.0), sys.float_info.max
+REAL_PROBES = [0.0, -0.0, TINY, -TINY, 0.25, math.nextafter(1.0, 0.0), 1.0,
+               math.nextafter(1.0, 2.0), HUGE / 2, math.nextafter(HUGE / 2, math.inf), HUGE,
+               -1.0, math.nan, math.inf, -math.inf, 10**400, -10**400, True, "0.5",
+               Fraction(1, 4), np.float32(0.5)]
+
+
+def finite_real(value):
+    """``value`` as a finite float, or None for anything a real field rejects."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+class TestArgumentRule:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", REAL_PROBES, ids=shown)
+    @pytest.mark.parametrize("entry", REAL_ENTRY_POINTS)
+    def test_any_real_is_accepted_in_range_or_raises_config_error(self, entry, value):
+        call, name, bound = REAL_ENTRY_POINTS[entry]
+        number = finite_real(value)
+        in_range = number is not None and bound(number)
+        try:
+            call(value)
+        except ConfigError as exc:
+            assert not in_range, exc
+            assert name in str(exc)
+        else:
+            assert in_range
+
+    def test_stages_take_a_real_as_the_float_it_equals(self):
+        weights = softmax_weights([0.1, 0.2], Fraction(1, 2), 1e-8)
+        assert np.array_equal(weights, softmax_weights([0.1, 0.2], 0.5, 1e-8))
+        assert np.array_equal(allocate([0.4, 0.6], Fraction(1, 4), 10).per_frame_count,
+                              allocate([0.4, 0.6], 0.25, 10).per_frame_count)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, kind, name", [
+        (lambda: compress(TENSOR, threads=2.5), ConfigError, "threads"),
+        (lambda: compress(TENSOR, threads=0), ConfigError, "threads"),
+        (lambda: compress(TENSOR, threads=True), ConfigError, "threads"),
+        (lambda: accum.uniqueness_grids(TENSOR.values, [POOLS], threads=2.5), ConfigError,
+         "threads"),
+        (lambda: Policy("random").run(TENSOR, threads=0), ConfigError, "threads"),
+        (lambda: keep_top(token_ranks(np.zeros((2, 3))), [Fraction(1, 2), 1]), ConfigError,
+         "counts"),
+        (lambda: allocate_uniform(2.5, 0.25, 10), ConfigError, "frames"),
+        (lambda: allocate_uniform(2, 0.25, 10.5), ConfigError, "tokens_per_frame"),
+        (lambda: allocate_uniform(2, 0.25, 10, -5), ConfigError, "min_tokens"),
+        (lambda: softmax_weights([0.1, 0.2], 0.0, 1e-8), ConfigError, "tau"),
+        (lambda: combine_scores(GRID, GRID, alpha=float("nan")), ConfigError, "alpha"),
+        (lambda: TokenTensor.from_flat(10**5000, 1, 1, [0.0]), DimensionMismatchError,
+         "frames"),
+        (lambda: TokenTensor.from_flat(2.0, 1, 1, [0.0, 1.0]), DimensionMismatchError,
+         "frames"),
+        (lambda: accum.transpose_tokens(TENSOR.values, start=0.5, stop=2), ShapeMismatchError,
+         "start"),
+        (lambda: accum.transpose_tokens(TENSOR.values, stop=10**5000), ShapeMismatchError,
+         "stop"),
+        (lambda: accum.transpose_tokens(TENSOR.values, start=3, stop=2), ShapeMismatchError,
+         "stop"),
+        (lambda: accum.token_reductions(EMPTY_BLOCK, 4, 0, [POOLS], start=-1),
+         ShapeMismatchError, "start"),
+    ], ids=["compress-threads-float", "compress-threads-0", "compress-threads-bool",
+            "grids-threads-float", "random-threads-0", "keep-top-fraction",
+            "uniform-frames-float", "uniform-tokens-float", "uniform-min-tokens-negative",
+            "softmax-tau-0", "combine-alpha-nan", "from-flat-huge", "from-flat-float",
+            "transpose-start-float", "transpose-stop-huge", "transpose-stop-before-start",
+            "reductions-start-negative"])
+    def test_a_bad_scalar_raises_its_kind_naming_it(self, call, kind, name):
+        with pytest.raises(kind, match=name) as err:
+            call()
+        assert type(err.value) is kind  # not a bare ValueError or TypeError
+
+    @pytest.mark.parametrize("frames", [-1, 2.5, True, "2", MAX_AXIS + 1, -10**5000, 10**5000],
+                             ids=shown)
+    def test_allocate_uniform_frames_out_of_range_raise_config_error(self, frames):
+        # Not a row of INTEGER_ENTRY_POINTS: an in-range frames allocates that
+        # many floats, and the table's draws reach MAX_AXIS.
+        with pytest.raises(ConfigError, match="frames"):
+            allocate_uniform(frames, 0.25, 10)
+
+    @pytest.mark.parametrize("frames", [0, 1, 3, np.int64(2)])
+    def test_allocate_uniform_frames_in_range_are_accepted(self, frames):
+        allocation = allocate_uniform(frames, 0.25, 10)
+        assert allocation.per_frame_count.tolist() == [3] * int(frames)
+
+    @pytest.mark.parametrize("count", [Fraction(1, 2), Decimal("0.5"), 0.5, math.nan,
+                                       Decimal("NaN"), True, np.True_, "1", None, 1j])
+    def test_a_count_that_is_not_a_whole_number_is_config_error(self, count):
+        with pytest.raises(ConfigError, match="counts"):
+            keep_top(RANKS, [count, 1])
+
+    @pytest.mark.parametrize("count", [2, 2.0, Fraction(2, 1), Decimal(2), np.float32(2),
+                                       np.int8(2), np.uint64(2)])
+    def test_a_whole_count_keeps_its_int(self, count):
+        assert keep_top(RANKS, [count, 1]).sum(axis=1).tolist() == [2, 1]
+        assert keep_top(RANKS, np.array([count, 1])).sum(axis=1).tolist() == [2, 1]
+
+    @pytest.mark.parametrize("count", [math.inf, -math.inf, Decimal("Infinity"), 4.0, -1,
+                                       Fraction(8, 2)])
+    def test_a_whole_count_outside_0_to_m_is_k_exceeds_m(self, count):
+        with pytest.raises(KExceedsMError, match="k="):
+            keep_top(RANKS, [count, 1])
+
+    def test_an_integer_array_is_not_converted(self):
+        counts = np.array([2, 1], dtype=np.int64)
+        assert np.array_equal(keep_top(RANKS, counts), RANKS < counts[:, None])
+        assert np.array_equal(keep_top(RANKS, counts.astype(np.uint8)), RANKS < counts[:, None])
