@@ -17,7 +17,8 @@ a change to the Python code is not measured.
 
 For each body and each shape of the fixed grid (``SyntheticSpec(...,
 model="iid", seed=0)``), rounds alternate the sides, the parent first in
-even rounds.  A round times ``compress(tensor, threads=1)``, the
+even rounds.  A round times ``compress(tensor, threads=1)``, the same
+``compress`` at ``threads=2`` (``compress_t2_ms``), the
 transpose stage (``transpose_tokens`` over every frame, in blocks of
 ``_BLOCK_BYTES`` as a scoring worker walks them) and the reduction stage
 at each pool count P in ``POOLS`` (``token_reductions`` of every block
@@ -27,7 +28,9 @@ scoring worker reads its block; only the first transpose is timed and
 hashed.  The sha256 of every output (the compress report, budgets, kept
 indices and rows, every transposed block and every norm and dot grid, in
 ``POOLS`` order) must be the same for both sides and both bodies in every
-round; on a mismatch the script names it on stderr and exits 1.
+round; on a mismatch the script names it on stderr and exits 1.  With
+the same tree on both sides, the two ``compress`` stages give the
+one-thread against two-thread table on the fixed grid, for both bodies.
 Otherwise it prints one JSON object, the best and median ms per body,
 side and shape, and writes it to ``--out`` when given.  Both sides run in
 every round, so each round is a pair: beside the sides, ``pair_ratio``
@@ -63,12 +66,15 @@ FIXED_GRID = {(32, 196, 896): 40, (128, 64, 896): 40, (8, 576, 1024): 40,
 # workload (video and frame pools) and four.
 POOLS = (1, 2, 4)
 BLOCK_STAGES = ("transpose_ms", *(f"reduce_p{p}_ms" for p in POOLS))
+# The compress stages and the threads each runs at; every other stage runs
+# on the calling thread.
+COMPRESS_STAGES = {"compress_ms": 1, "compress_t2_ms": 2}
 
 
-def timed_compress(tensor) -> tuple[float, str]:
-    """ms of one single-thread compress, and the sha256 of all its outputs."""
+def timed_compress(tensor, threads: int) -> tuple[float, str]:
+    """ms of one compress at ``threads``, and the sha256 of all its outputs."""
     begin = time.perf_counter()
-    result = compress(tensor, threads=1)
+    result = compress(tensor, threads=threads)
     ms = (time.perf_counter() - begin) * 1e3
     digest = hashlib.sha256()
     for array in (*vars(result.report).values(), result.allocation.per_frame_ratio,
@@ -129,7 +135,8 @@ def main(argv=None, grid: dict | None = None) -> int:
     grid = FIXED_GRID if grid is None else grid
     checkouts = {"parent": args.parent, "change": args.change}
 
-    report = {"host": platform.machine(), "threads": 1, "rounds": {}, "bodies": {}}
+    report = {"host": platform.machine(), "threads": COMPRESS_STAGES, "rounds": {},
+              "bodies": {}}
     loaded = accum._lib
     try:
         with tempfile.TemporaryDirectory() as build_dir:
@@ -147,20 +154,24 @@ def main(argv=None, grid: dict | None = None) -> int:
                 pools = np.random.default_rng(0).standard_normal((max(POOLS), frames, dim))
                 expected = None
                 for body, sides in libs.items():
-                    times = {side: {stage: [] for stage in ("compress_ms", *BLOCK_STAGES)}
+                    times = {side: {stage: [] for stage in (*COMPRESS_STAGES, *BLOCK_STAGES)}
                              for side in SIDES}
                     for r in range(rounds):
                         for side in SIDES if r % 2 == 0 else SIDES[::-1]:
                             accum._lib = sides[side]
-                            c_ms, c_digest = timed_compress(tensor)
-                            stage_ms, b_digest = timed_blocks(tensor.values, pools)
+                            stage_ms, digests = {}, []
+                            for stage, threads in COMPRESS_STAGES.items():
+                                stage_ms[stage], digest = timed_compress(tensor, threads)
+                                digests.append(digest)
+                            block_ms, b_digest = timed_blocks(tensor.values, pools)
+                            digests.append(b_digest)
                             if expected is None:
-                                expected = (c_digest, b_digest)
-                            if (c_digest, b_digest) != expected:
+                                expected = digests
+                            if digests != expected:
                                 print(f"ab_kernels: {body} body of {side} gives other bytes "
                                       f"at {name} in round {r}", file=sys.stderr)
                                 return 1
-                            for stage, ms in {"compress_ms": c_ms, **stage_ms}.items():
+                            for stage, ms in {**stage_ms, **block_ms}.items():
                                 times[side][stage].append(ms)
                     report["bodies"].setdefault(body, {})[name] = {
                         **{side: {stage: summary(ms) for stage, ms in stages.items()}

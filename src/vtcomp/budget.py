@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from . import accum
-from .errors import WindowOutOfRangeError
-from .model import MAX_AXIS, Aggregation, BudgetAllocation, TokenTensor, int_in, real_in
+from .errors import NonFiniteError, ShapeMismatchError, WindowOutOfRangeError
+from .model import MAX_AXIS, Aggregation, BudgetAllocation, TokenTensor, enum_in, int_in, real_in
 
 
 def window_edges(frames: int, window: int | str) -> list[tuple[int, int]]:
@@ -81,10 +81,14 @@ def frame_uniqueness(u_video: np.ndarray, aggregation: Aggregation = Aggregation
     """Aggregate each frame's token scores into one frame score.
 
     Mean is the default (uniqueness density); max is the ablation variant
-    that keys on the single most distinctive token.
+    that keys on the single most distinctive token.  ``u_video`` must be a
+    (T, M) grid with M >= 1 (``ShapeMismatchError`` otherwise), and an
+    unknown ``aggregation`` is a ``ConfigError`` (:func:`~vtcomp.errors.enum_in`).
     """
     grid = np.asarray(u_video, dtype=np.float64)
-    if Aggregation(aggregation) is Aggregation.MEAN:
+    if grid.ndim != 2 or grid.shape[1] == 0:
+        raise ShapeMismatchError(f"expected a (T, M) grid with M >= 1, got shape {grid.shape}")
+    if enum_in("aggregation", aggregation, Aggregation) is Aggregation.MEAN:
         return accum.ordered_sums(grid) / grid.shape[1]
     return np.max(grid, axis=1)
 
@@ -97,12 +101,13 @@ def softmax_weights(u, tau: float, eps: float) -> np.ndarray:
     last bit) and a left-to-right sum; the shift keeps every exponent <= 0.
     ``tau`` is checked as ``temperature`` and ``eps`` as ``epsilon``
     (:func:`~vtcomp.model.real_in`): a value a ``RetentionConfig`` would
-    reject is a ``ConfigError`` naming the parameter.
+    reject is a ``ConfigError`` naming the parameter.  No frames give no
+    weights.
     """
     tau, eps = real_in("temperature", tau, "tau"), real_in("epsilon", eps, "eps")
     scores = np.asarray(u, dtype=np.float64)
     with np.errstate(over="ignore"):  # an overflowed shift is -inf: weight 0
-        shifted = (scores - scores.max()) / tau
+        shifted = (scores - scores.max(initial=-math.inf)) / tau
     exps = np.array([math.exp(v) for v in shifted.tolist()], dtype=np.float64)
     return exps / (accum.ordered_sums(exps) + eps)
 
@@ -113,14 +118,16 @@ def frame_counts(ratios: np.ndarray, tokens_per_frame: int, min_tokens: int) -> 
     ``tokens_per_frame`` must be an int in 0..``MAX_AXIS`` and ``min_tokens``
     an int >= 1 (:func:`~vtcomp.model.int_in`, a ``ConfigError`` naming the
     parameter otherwise); ``min_tokens`` of any size is capped at M before
-    numpy sees it.  A non-finite r_t raises ``ValueError`` rather than
-    become a count.
+    numpy sees it.  A non-finite r_t raises ``NonFiniteError`` carrying the
+    index of the first, rather than become a count; a finite r_t outside
+    [0, 1] is clipped before it scales, so no product overflows.
     """
     tokens_per_frame = int_in("tokens_per_frame", tokens_per_frame, 0, MAX_AXIS)
     min_tokens = int_in("min_tokens", min_tokens, 1)
-    wanted = np.ceil(ratios * tokens_per_frame)
-    if not np.isfinite(wanted).all():
-        raise ValueError(f"retention ratios must be finite, got {ratios}")
+    if not (finite := np.isfinite(ratios)).all():
+        index = int(np.argmin(finite))
+        raise NonFiniteError(index, f"non-finite retention ratio at frame {index}")
+    wanted = np.ceil(np.clip(ratios, 0.0, 1.0) * tokens_per_frame)
     return np.clip(wanted, min(min_tokens, tokens_per_frame), tokens_per_frame).astype(np.int64)
 
 
@@ -129,11 +136,12 @@ def allocate(sigma, ratio: float, tokens_per_frame: int, min_tokens: int = 1) ->
 
     r_t = ratio * (1 + sigma_t - 1/T) exactly as written, unclamped; the
     integer budget follows :func:`frame_counts`.  ``ratio`` is checked as
-    ``RetentionConfig.ratio`` is (:func:`~vtcomp.model.real_in`).
+    ``RetentionConfig.ratio`` is (:func:`~vtcomp.model.real_in`).  No
+    frames give empty budgets, as :func:`allocate_uniform` gives them.
     """
     ratio = real_in("ratio", ratio)
     weights = np.asarray(sigma, dtype=np.float64)
-    ratios = ratio * (1.0 + weights - 1.0 / weights.shape[0])
+    ratios = ratio * (1.0 + weights - 1.0 / max(weights.shape[0], 1))
     return BudgetAllocation(ratios, frame_counts(ratios, tokens_per_frame, min_tokens))
 
 

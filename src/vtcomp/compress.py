@@ -40,6 +40,8 @@ from .model import (
     ScoreMode,
     ScoreReport,
     TokenTensor,
+    enum_in,
+    int_in,
     real_in,
     shown,
     weight_sum_in,
@@ -70,7 +72,8 @@ def combine_scores(u_frame, u_video, mode: ScoreMode = ScoreMode.COMBINED,
     positive variants flip its sign to prefer redundant tokens instead.
     In every mode ``alpha`` and ``beta`` are checked as ``RetentionConfig``
     checks them, the pair rule included (:func:`~vtcomp.model.real_in`,
-    :func:`~vtcomp.model.weight_sum_in`).
+    :func:`~vtcomp.model.weight_sum_in`), and so is ``mode``
+    (:func:`~vtcomp.errors.enum_in`).
     """
     alpha, beta = real_in("alpha", alpha), real_in("beta", beta)
     weight_sum_in(alpha, beta)
@@ -78,7 +81,7 @@ def combine_scores(u_frame, u_video, mode: ScoreMode = ScoreMode.COMBINED,
     uv = np.asarray(u_video, dtype=np.float64)
     if uf.shape != uv.shape:
         raise ShapeMismatchError(f"score shapes differ: {uf.shape} vs {uv.shape}")
-    mode = ScoreMode(mode)
+    mode = enum_in("mode", mode, ScoreMode)
     if mode is ScoreMode.COMBINED:
         return np.multiply(uf, alpha) + np.multiply(uv, beta)
     if mode is ScoreMode.FRAME_ONLY:
@@ -190,29 +193,25 @@ def topk_select(scores, k):
 def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
     """One uniqueness grid per distinct pooling window: ``{window: grid}``.
 
-    The scoring pass of :func:`compress`: frame sums, the (P, T, D') stack
-    of one pool matrix per window, then one ``uniqueness_grids`` call; its
+    The scoring pass of :func:`compress`: frame sums on the calling thread,
+    the (P, T, D') stack of one pool matrix per window, then one
+    ``uniqueness_grids`` call, the one pass ``threads`` splits; its
     (P, T, M) rows are the windows' grids.  Window 1 pools each frame alone,
     so its grid is the frame level.  Each grid is bit-identical to the one a
     single-window call gives; every window is validated before any work,
-    and an empty list gives ``{}`` without a scoring pass.
+    and an empty list gives ``{}`` without a scoring pass, once ``threads``
+    is checked as the chunked pass would check it.
     """
     windows = list(dict.fromkeys(windows))
     for window in windows:  # every window is checked before any work
         window_edges(tensor.frames, window)
     if not windows:
+        int_in("threads", threads, 1)
         return {}
     values = np.ascontiguousarray(tensor.values, dtype=np.float32)  # one copy for both passes
-    frames, tokens, dim = values.shape
-
-    frame_sums = np.zeros((frames, dim), dtype=np.float64)
-
-    def sum_phase(a: int, b: int) -> None:
-        frame_sums[a:b] = accum.frame_token_sums(values[a:b])
-
-    accum.run_chunked(threads, frames, sum_phase)
-
-    pools = np.array([pools_from_frame_sums(frame_sums, tokens, window) for window in windows])
+    frame_sums = accum.frame_token_sums(values)
+    pools = np.array([pools_from_frame_sums(frame_sums, values.shape[1], window)
+                      for window in windows])
     return dict(zip(windows, accum.uniqueness_grids(values, pools, threads)))
 
 

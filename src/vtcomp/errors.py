@@ -1,9 +1,10 @@
-"""Exception types raised across the package, and the one integer check.
+"""Exception types raised across the package, and the integer and choice checks.
 
 Every error carries a short stable ``kind`` string that the CLI prints as
 ``error: <kind>: <message>`` on stderr, so scripts can match on it.
-:func:`int_in` lives here, beside the kinds it raises, so that every module
-(the kernels in :mod:`vtcomp.accum` included) can check an integer the same way.
+:func:`int_in` and :func:`enum_in` live here, beside the kinds they raise, so
+that every module (the kernels in :mod:`vtcomp.accum` included) can check an
+integer or a choice the same way.
 """
 
 import math
@@ -107,6 +108,16 @@ def int_in(name: str, value, low=None, high=None, error=ConfigError) -> int:
                 f" >= {low}" if low is not None else f" <= {high}" if high is not None else "")
         raise error(f"{name} must be an int{span}, got {shown(value)}")
     return int(value)
+
+
+def enum_in(name: str, value, kind):
+    """``value`` as a member of the ``Enum`` ``kind`` (a member or its value).
+    Anything else is a ``ConfigError`` naming the field and its valid values."""
+    try:
+        return kind(value)
+    except ValueError:
+        valid = ", ".join(repr(member.value) for member in kind)
+        raise ConfigError(f"{name} must be one of {valid}, got {shown(value)}") from None
 
 
 def shown(value) -> str:

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     LengthMismatchError,
     NonFiniteError,
+    enum_in,
     int_in,
     shown,
 )
@@ -189,9 +190,10 @@ class RetentionConfig:
     ``alpha``/``beta`` weight the frame-level and video-level uniqueness
     scores in combined mode.  Real fields are stored as plain floats within
     their ``REAL_BOUNDS`` entry (:func:`real_in`), with the pair rule of
-    :func:`weight_sum_in`, and integer fields as plain ints (:func:`int_in`):
-    a bool, a non-number, NaN, +-inf, an int too large for a float or a
-    value out of range is a ``ConfigError`` that names the field.
+    :func:`weight_sum_in`, integer fields as plain ints (:func:`int_in`) and
+    choice fields as their ``Enum`` members (:func:`enum_in`): a bool, a
+    non-number, NaN, +-inf, an int too large for a float, a value out of
+    range or an unknown choice is a ``ConfigError`` that names the field.
     """
 
     ratio: float = 0.25
@@ -206,9 +208,9 @@ class RetentionConfig:
     min_tokens_per_frame: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "adjustment", Adjustment(self.adjustment))
-        object.__setattr__(self, "frame_aggregation", Aggregation(self.frame_aggregation))
-        object.__setattr__(self, "score_mode", ScoreMode(self.score_mode))
+        for name, kind in (("adjustment", Adjustment), ("frame_aggregation", Aggregation),
+                           ("score_mode", ScoreMode)):
+            object.__setattr__(self, name, enum_in(name, getattr(self, name), kind))
         for name in REAL_BOUNDS:
             object.__setattr__(self, name, real_in(name, getattr(self, name)))
         weight_sum_in(self.alpha, self.beta)

@@ -55,7 +55,7 @@ class Policy:
 
     def run(self, tensor: TokenTensor, threads: int = 1) -> CompressedSelection:
         """The policy's selection; ``threads`` must be an int >= 1 for every
-        policy, though only ``compress``'s chunked passes read it."""
+        policy, though only ``compress``'s chunked pass reads it."""
         if self.name != "random":
             return compress(tensor, self.config, threads=threads).selection
         int_in("threads", threads, 1)

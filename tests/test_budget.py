@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from vtcomp import (
     Aggregation,
+    NonFiniteError,
     RetentionConfig,
     ShapeMismatchError,
     TokenTensor,
@@ -406,9 +407,10 @@ class TestBudgetRules:
     def test_non_finite_weight_is_never_a_count(self, case, bad, data):
         frames, tokens, ratio, min_tokens, _, sigma = case
         sigma = sigma.copy()
-        sigma[data.draw(st.integers(0, frames - 1))] = bad
-        with pytest.raises((ValueError, OverflowError)):
+        sigma[index := data.draw(st.integers(0, frames - 1))] = bad
+        with pytest.raises(NonFiniteError) as err:
             allocate(sigma, ratio, tokens, min_tokens=min_tokens)
+        assert err.value.flat_index == index
 
 
 @st.composite

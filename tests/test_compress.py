@@ -9,6 +9,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -394,6 +395,20 @@ class TestCompress:
                                   many.allocation.per_frame_ratio)
             assert all(np.array_equal(x, y) for x, y in
                        zip(one.selection.compressed, many.selection.compressed))
+
+    def test_frame_sums_run_once_on_the_calling_thread(self, rng, monkeypatch):
+        # Only the reduction pass is threaded: the frame sums are one call on
+        # the whole tensor, made by the thread that called compress.
+        values = rng.standard_normal((4, 5, 3)).astype(np.float32)
+        calls, sums = [], accum.frame_token_sums
+
+        def spy(array):
+            calls.append((np.shape(array), threading.get_ident()))
+            return sums(array)
+
+        monkeypatch.setattr(accum, "frame_token_sums", spy)
+        compress(TokenTensor.from_array(values), threads=2)
+        assert calls == [(values.shape, threading.get_ident())]
 
     def test_uniform_adjustment_fixes_ratio(self, rng):
         values = rng.standard_normal((4, 10, 3)).astype(np.float32)

@@ -35,8 +35,8 @@ from vtcomp import (
     window_edges,
 )
 from vtcomp import accum
-from vtcomp.budget import frame_counts
-from vtcomp.compress import keep_top, token_ranks
+from vtcomp.budget import frame_counts, frame_uniqueness
+from vtcomp.compress import keep_top, score_windows, token_ranks
 from vtcomp.formats import MAX_AXIS
 from vtcomp.model import shown
 
@@ -374,7 +374,7 @@ class TestRetentionConfig:
         assert cfg.score_mode.value == "video_only"
 
     def test_unknown_enum_string_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="score_mode"):
             RetentionConfig(score_mode="sideways")
 
 
@@ -429,6 +429,8 @@ INTEGER_ENTRY_POINTS = {
                          (1, None)),
     "grids-threads": (lambda v: accum.uniqueness_grids(TENSOR.values, [POOLS], threads=v),
                       ConfigError, "threads", (1, None)),
+    "windows-threads": (lambda v: score_windows(TENSOR, [], threads=v), ConfigError, "threads",
+                        (1, None)),
     # One value fills one flat cell, so each axis is accepted at 1 alone; any
     # other int is an axis below 1 or a length mismatch, both naming the axis.
     "from-flat-frames": (lambda v: TokenTensor.from_flat(v, 1, 1, [0.0]),
@@ -596,6 +598,47 @@ class TestArgumentRule:
         with pytest.raises(kind, match=name) as err:
             call()
         assert type(err.value) is kind  # not a bare ValueError or TypeError
+
+    @pytest.mark.parametrize("call, name, valid", [
+        (lambda: RetentionConfig(adjustment="bogus"), "adjustment", "'adaptive', 'uniform'"),
+        (lambda: RetentionConfig(score_mode=3), "score_mode", "'combined', 'frame_only'"),
+        (lambda: RetentionConfig(frame_aggregation="x"), "frame_aggregation",
+         "'mean', 'max'"),
+        (lambda: combine_scores(GRID, GRID, mode="x"), "mode", "'combined', 'frame_only'"),
+        (lambda: frame_uniqueness(GRID, "x"), "aggregation", "'mean', 'max'"),
+    ], ids=["config-adjustment", "config-score-mode", "config-aggregation", "combine-mode",
+            "frame-uniqueness-aggregation"])
+    def test_an_unknown_choice_is_config_error_naming_the_field(self, call, name, valid):
+        with pytest.raises(ConfigError, match=f"^{name} must be one of {valid}") as err:
+            call()
+        assert type(err.value) is ConfigError  # not a bare ValueError
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=shown)
+    def test_a_non_finite_frame_weight_is_non_finite_error(self, bad):
+        with pytest.raises(NonFiniteError, match="frame 1") as err:
+            allocate([0.5, bad, math.nan], 0.25, 10)
+        assert err.value.flat_index == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_finite_frame_weight_is_a_full_frame(self):
+        # The ratio is clipped before it scales, so ratio * M cannot overflow.
+        allocation = allocate([1e308, -1e308], 1.0, MAX_AXIS)
+        assert allocation.per_frame_count.tolist() == [MAX_AXIS, 1]
+
+    def test_no_frames_allocate_empty_budgets(self):
+        allocation = allocate([], 0.25, 10)
+        assert allocation.per_frame_ratio.shape == allocation.per_frame_count.shape == (0,)
+        assert allocation.per_frame_count.dtype == np.int64
+
+    def test_no_frames_get_no_softmax_weights(self):
+        weights = softmax_weights([], 0.01, 1e-8)
+        assert weights.shape == (0,) and weights.dtype == np.float64
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("aggregation", ["mean", "max"])
+    def test_a_frame_of_no_tokens_has_no_uniqueness(self, aggregation):
+        with pytest.raises(ShapeMismatchError, match=r"\(3, 0\)"):
+            frame_uniqueness(np.zeros((3, 0)), aggregation)
 
     @pytest.mark.parametrize("frames", [-1, 2.5, True, "2", MAX_AXIS + 1, -10**5000, 10**5000],
                              ids=shown)
