@@ -1,26 +1,24 @@
 #!/usr/bin/env python3
-"""In-process A/B of two checkouts' C kernels, with every output byte compared.
+"""In-process A/B of two whole checkouts, with every output byte compared.
 
 Usage, with both commits checked out side by side:
 
     python3 scripts/ab_kernels.py --parent ../parent --change . --out ab.json
 
-Each checkout's ``src/vtcomp/_accum.c`` is built twice with ``accum._build``:
-once as the package loads it (with the AVX2 dispatch where the host has
-it) and once with ``-DVTCOMP_BASELINE_ONLY``, the baseline bodies every
-other host runs.  Each build is declared as this package declares it, so
-both sources must keep the same entry points.
-
-Only ``accum._lib`` is swapped between the sides: the Python layer that
-runs is the one beside this script, so the A/B compares C sources only and
-a change to the Python code is not measured.
+Each checkout's whole ``src/vtcomp`` is imported once per body as its own
+package (``vtcomp_parent_loaded`` ... ``vtcomp_change_baseline``), so a
+change to the Python code is measured too.  At load, each package's
+``accum._lib`` is bound once to its own ``accum._build`` of its own
+``_accum.c``: as the package loads it (with the AVX2 dispatch where the
+host has it) for ``loaded``, with ``-DVTCOMP_BASELINE_ONLY`` (the bodies
+every other host runs) for ``baseline``.  The parent makes the inputs.
 
 For each body and each shape of the fixed grid (``SyntheticSpec(...,
 model="iid", seed=0)``), rounds alternate the sides, the parent first in
-even rounds.  A round times ``compress(tensor, threads=1)``, the same
-``compress`` at ``threads=2`` (``compress_t2_ms``), the
+even rounds.  A round times the side's ``compress(tensor, threads=1)``, the
+same ``compress`` at ``threads=2`` (``compress_t2_ms``), the
 transpose stage (``transpose_tokens`` over every frame, in blocks of
-``_BLOCK_BYTES`` as a scoring worker walks them) and the reduction stage
+``BLOCK_BYTES`` as a scoring worker walks them) and the reduction stage
 at each pool count P in ``POOLS`` (``token_reductions`` of every block
 against the first P of four seeded (T, D') pool matrices).  Before each P
 the block is transposed again, so every P reads a block just written, as a
@@ -43,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import platform
 import statistics
@@ -51,11 +50,7 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-import numpy as np  # noqa: E402
-
-from vtcomp import SyntheticSpec, accum, compress, generate  # noqa: E402
+import numpy as np
 
 SIDES = ("parent", "change")
 BODIES = {"loaded": (), "baseline": ("-DVTCOMP_BASELINE_ONLY",)}
@@ -69,12 +64,30 @@ BLOCK_STAGES = ("transpose_ms", *(f"reduce_p{p}_ms" for p in POOLS))
 # The compress stages and the threads each runs at; every other stage runs
 # on the calling thread.
 COMPRESS_STAGES = {"compress_ms": 1, "compress_t2_ms": 2}
+# Bytes of the channel-major block the block stages walk: a scoring worker's
+# size, fixed here so that both trees walk the same blocks.
+BLOCK_BYTES = 1 << 20
 
 
-def timed_compress(tensor, threads: int) -> tuple[float, str]:
-    """ms of one compress at ``threads``, and the sha256 of all its outputs."""
+def load_tree(checkout: Path, name: str, defines: tuple, build_dir: str):
+    """``checkout``'s ``src/vtcomp`` imported afresh as ``name``, with its
+    ``accum._lib`` its own ``accum._build`` of its ``_accum.c`` with ``defines``."""
+    for key in [key for key in sys.modules if key == name or key.startswith(f"{name}.")]:
+        del sys.modules[key]
+    package = checkout / "src" / "vtcomp"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    tree = importlib.util.module_from_spec(spec)
+    sys.modules[name] = tree
+    spec.loader.exec_module(tree)
+    tree.accum._lib = tree.accum._build(package / "_accum.c", build_dir, defines)
+    return tree
+
+
+def timed_compress(tree, tensor, threads: int) -> tuple[float, str]:
+    """ms of one ``tree.compress`` at ``threads``, and the sha256 of its outputs."""
     begin = time.perf_counter()
-    result = compress(tensor, threads=threads)
+    result = tree.compress(tensor, threads=threads)
     ms = (time.perf_counter() - begin) * 1e3
     digest = hashlib.sha256()
     for array in (*vars(result.report).values(), result.allocation.per_frame_ratio,
@@ -84,14 +97,14 @@ def timed_compress(tensor, threads: int) -> tuple[float, str]:
     return ms, digest.hexdigest()
 
 
-def timed_blocks(values: np.ndarray, pools: np.ndarray) -> tuple[dict, str]:
-    """ms of the block-wise transpose of every frame and of the reduction of
-    each block at every P in ``POOLS`` (against ``pools[:P]``, each on a
-    block the transpose has just written), and the sha256 of every block and
-    reduction output."""
+def timed_blocks(accum, values: np.ndarray, pools: np.ndarray) -> tuple[dict, str]:
+    """ms of ``accum``'s block-wise transpose of every frame and of its
+    reduction of each block at every P in ``POOLS`` (against ``pools[:P]``,
+    each on a block the transpose has just written), and the sha256 of every
+    block and reduction output."""
     frames, tokens, dim = values.shape
     frame_size = tokens * dim
-    step = max(1, accum._BLOCK_BYTES // (4 * frame_size))
+    step = max(1, BLOCK_BYTES // (4 * frame_size))
     buf = np.empty(step * frame_size, dtype=np.float32)
     ms, digest = dict.fromkeys(BLOCK_STAGES, 0.0), hashlib.sha256()
     for t0 in range(0, frames, step):
@@ -137,49 +150,44 @@ def main(argv=None, grid: dict | None = None) -> int:
 
     report = {"host": platform.machine(), "threads": COMPRESS_STAGES, "rounds": {},
               "bodies": {}}
-    loaded = accum._lib
-    try:
-        with tempfile.TemporaryDirectory() as build_dir:
-            libs = {body: {side: accum._build(checkouts[side] / "src" / "vtcomp" / "_accum.c",
-                                              build_dir, defines)
-                           for side in SIDES} for body, defines in BODIES.items()}
-            report["isa"] = {body: {side: lib.kernel_isa().decode()
-                                    for side, lib in sides.items()}
-                             for body, sides in libs.items()}
-            for shape, rounds in grid.items():
-                name = "x".join(map(str, shape))
-                report["rounds"][name] = rounds
-                tensor = generate(SyntheticSpec(*shape, model="iid", seed=0))
-                frames, _, dim = shape
-                pools = np.random.default_rng(0).standard_normal((max(POOLS), frames, dim))
-                expected = None
-                for body, sides in libs.items():
-                    times = {side: {stage: [] for stage in (*COMPRESS_STAGES, *BLOCK_STAGES)}
-                             for side in SIDES}
-                    for r in range(rounds):
-                        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                            accum._lib = sides[side]
-                            stage_ms, digests = {}, []
-                            for stage, threads in COMPRESS_STAGES.items():
-                                stage_ms[stage], digest = timed_compress(tensor, threads)
-                                digests.append(digest)
-                            block_ms, b_digest = timed_blocks(tensor.values, pools)
-                            digests.append(b_digest)
-                            if expected is None:
-                                expected = digests
-                            if digests != expected:
-                                print(f"ab_kernels: {body} body of {side} gives other bytes "
-                                      f"at {name} in round {r}", file=sys.stderr)
-                                return 1
-                            for stage, ms in {**stage_ms, **block_ms}.items():
-                                times[side][stage].append(ms)
-                    report["bodies"].setdefault(body, {})[name] = {
-                        **{side: {stage: summary(ms) for stage, ms in stages.items()}
-                           for side, stages in times.items()},
-                        "pair_ratio": {stage: pair_ratio(ms, times["change"][stage])
-                                       for stage, ms in times["parent"].items()}}
-    finally:
-        accum._lib = loaded
+    with tempfile.TemporaryDirectory() as build_dir:
+        trees = {body: {side: load_tree(path, f"vtcomp_{side}_{body}", defines, build_dir)
+                        for side, path in checkouts.items()} for body, defines in BODIES.items()}
+        report["isa"] = {body: {side: tree.accum._lib.kernel_isa().decode()
+                                for side, tree in sides.items()}
+                         for body, sides in trees.items()}
+        maker = trees["loaded"]["parent"]
+        for shape, rounds in grid.items():
+            name = "x".join(map(str, shape))
+            report["rounds"][name] = rounds
+            tensor = maker.generate(maker.SyntheticSpec(*shape, model="iid", seed=0))
+            frames, _, dim = shape
+            pools = np.random.default_rng(0).standard_normal((max(POOLS), frames, dim))
+            expected = None
+            for body, sides in trees.items():
+                times = {side: {stage: [] for stage in (*COMPRESS_STAGES, *BLOCK_STAGES)}
+                         for side in SIDES}
+                for r in range(rounds):
+                    for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+                        tree, stage_ms, digests = sides[side], {}, []
+                        for stage, threads in COMPRESS_STAGES.items():
+                            stage_ms[stage], digest = timed_compress(tree, tensor, threads)
+                            digests.append(digest)
+                        block_ms, b_digest = timed_blocks(tree.accum, tensor.values, pools)
+                        digests.append(b_digest)
+                        if expected is None:
+                            expected = digests
+                        if digests != expected:
+                            print(f"ab_kernels: {body} body of {side} gives other bytes "
+                                  f"at {name} in round {r}", file=sys.stderr)
+                            return 1
+                        for stage, ms in {**stage_ms, **block_ms}.items():
+                            times[side][stage].append(ms)
+                report["bodies"].setdefault(body, {})[name] = {
+                    **{side: {stage: summary(ms) for stage, ms in stages.items()}
+                       for side, stages in times.items()},
+                    "pair_ratio": {stage: pair_ratio(ms, times["change"][stage])
+                                   for stage, ms in times["parent"].items()}}
 
     text = json.dumps(report, indent=1)
     print(text)

@@ -101,11 +101,15 @@ def softmax_weights(u, tau: float, eps: float) -> np.ndarray:
     last bit) and a left-to-right sum; the shift keeps every exponent <= 0.
     ``tau`` is checked as ``temperature`` and ``eps`` as ``epsilon``
     (:func:`~vtcomp.model.real_in`): a value a ``RetentionConfig`` would
-    reject is a ``ConfigError`` naming the parameter.  No frames give no
-    weights.
+    reject is a ``ConfigError`` naming the parameter.  A NaN or ±inf score
+    raises ``NonFiniteError`` carrying the index of the first, as
+    :func:`frame_counts` does.  No frames give no weights.
     """
     tau, eps = real_in("temperature", tau, "tau"), real_in("epsilon", eps, "eps")
     scores = np.asarray(u, dtype=np.float64)
+    if not (finite := np.isfinite(scores)).all():
+        index = int(np.argmin(finite))
+        raise NonFiniteError(index, f"non-finite frame score at frame {index}")
     with np.errstate(over="ignore"):  # an overflowed shift is -inf: weight 0
         shifted = (scores - scores.max(initial=-math.inf)) / tau
     exps = np.array([math.exp(v) for v in shifted.tolist()], dtype=np.float64)

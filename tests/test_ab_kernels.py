@@ -1,4 +1,4 @@
-"""The in-process kernel A/B of ``scripts/ab_kernels.py``, loaded from its path."""
+"""The in-process A/B of two whole checkouts, ``scripts/ab_kernels.py``, loaded from its path."""
 
 import contextlib
 import importlib.util
@@ -51,13 +51,28 @@ def test_pair_ratio_summarizes_the_rounds_change_over_parent():
     assert pair_ratio([4.0], [3.0]) == {"median": 0.75, "q1": 0.75, "q3": 0.75}
 
 
+def mutant(tmp_path, file, old, new):
+    """A checkout whose ``src/vtcomp`` is this one's with the last ``old``
+    in ``file`` replaced by ``new``."""
+    package = tmp_path / "mutant" / "src" / "vtcomp"
+    shutil.copytree(ROOT / "src" / "vtcomp", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (package / file).read_text()
+    cut = source.rindex(old)
+    (package / file).write_text(source[:cut] + new + source[cut + len(old):])
+    return package.parents[1]
+
+
 def test_a_mutated_tail_copy_exits_1(tmp_path, capsys):
-    source = (ROOT / "src" / "vtcomp" / "_accum.c").read_text()
-    tail = "dst[c * cols + m] = src[m * dim + c];"
-    cut = source.rindex(tail)  # the token tail, past the last full 8 tokens
-    mutant = tmp_path / "mutant" / "src" / "vtcomp" / "_accum.c"
-    mutant.parent.mkdir(parents=True)
-    mutant.write_text(source[:cut] + tail.replace(";", " ^ 1u;") + source[cut + len(tail):])
-    code = load().main(["--parent", str(ROOT), "--change", str(mutant.parents[2])], grid=GRID)
+    tail = "dst[c * cols + m] = src[m * dim + c];"  # the token tail, past the last full 8 tokens
+    change = mutant(tmp_path, "_accum.c", tail, tail.replace(";", " ^ 1u;"))
+    code = load().main(["--parent", str(ROOT), "--change", str(change)], grid=GRID)
+    assert code == 1
+    assert "change gives other bytes at 3x10x11" in capsys.readouterr().err
+
+
+def test_a_python_only_change_is_measured(tmp_path, capsys):
+    change = mutant(tmp_path, "compress.py", "np.argsort(-grid,", "np.argsort(grid,")
+    code = load().main(["--parent", str(ROOT), "--change", str(change)], grid=GRID)
     assert code == 1
     assert "change gives other bytes at 3x10x11" in capsys.readouterr().err

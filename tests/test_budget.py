@@ -412,6 +412,16 @@ class TestBudgetRules:
             allocate(sigma, ratio, tokens, min_tokens=min_tokens)
         assert err.value.flat_index == index
 
+    @settings(max_examples=100, deadline=None)
+    @given(budget_cases(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+    def test_non_finite_score_is_never_a_weight(self, case, bad, data):
+        frames, _, _, _, (u, tau, eps), _ = case
+        u = list(u)
+        u[index := data.draw(st.integers(0, frames - 1))] = bad
+        with pytest.raises(NonFiniteError) as err:
+            softmax_weights(u, tau, eps)
+        assert err.value.flat_index == index
+
 
 @st.composite
 def fca_cases(draw):
