@@ -9,26 +9,23 @@ Each checkout's whole ``src/vtcomp`` is imported once per body as its own
 package (``vtcomp_parent_loaded`` ... ``vtcomp_change_baseline``), so a
 change to the Python code is measured too.  At load, each package's
 ``accum._lib`` is bound once to its own ``accum._build`` of its own
-``_accum.c``: as the package loads it (with the AVX2 dispatch where the
-host has it) for ``loaded``, with ``-DVTCOMP_BASELINE_ONLY`` (the bodies
-every other host runs) for ``baseline``.  The parent makes the inputs.
+``_accum.c``: the build its import loads (with the AVX2 dispatch where the
+host has it) for ``loaded``, one with ``-DVTCOMP_BASELINE_ONLY`` (the
+bodies every other host runs) for ``baseline``.  The parent makes the inputs.
 
 For each body and each shape of the fixed grid (``SyntheticSpec(...,
 model="iid", seed=0)``), rounds alternate the sides, the parent first in
 even rounds.  A round times the side's ``compress(tensor, threads=1)``, the
-same ``compress`` at ``threads=2`` (``compress_t2_ms``), the
 transpose stage (``transpose_tokens`` over every frame, in blocks of
-``BLOCK_BYTES`` as a scoring worker walks them) and the reduction stage
+``BLOCK_BYTES`` as the scoring pass walks them) and the reduction stage
 at each pool count P in ``POOLS`` (``token_reductions`` of every block
 against the first P of four seeded (T, D') pool matrices).  Before each P
-the block is transposed again, so every P reads a block just written, as a
-scoring worker reads its block; only the first transpose is timed and
+the block is transposed again, so every P reads a block just written, as the
+scoring pass reads its block; only the first transpose is timed and
 hashed.  The sha256 of every output (the compress report, budgets, kept
 indices and rows, every transposed block and every norm and dot grid, in
 ``POOLS`` order) must be the same for both sides and both bodies in every
-round; on a mismatch the script names it on stderr and exits 1.  With
-the same tree on both sides, the two ``compress`` stages give the
-one-thread against two-thread table on the fixed grid, for both bodies.
+round; on a mismatch the script names it on stderr and exits 1.
 Otherwise it prints one JSON object, the best and median ms per body,
 side and shape, and writes it to ``--out`` when given.  Both sides run in
 every round, so each round is a pair: beside the sides, ``pair_ratio``
@@ -61,17 +58,18 @@ FIXED_GRID = {(32, 196, 896): 40, (128, 64, 896): 40, (8, 576, 1024): 40,
 # workload (video and frame pools) and four.
 POOLS = (1, 2, 4)
 BLOCK_STAGES = ("transpose_ms", *(f"reduce_p{p}_ms" for p in POOLS))
-# The compress stages and the threads each runs at; every other stage runs
-# on the calling thread.
-COMPRESS_STAGES = {"compress_ms": 1, "compress_t2_ms": 2}
-# Bytes of the channel-major block the block stages walk: a scoring worker's
+# Bytes of the channel-major block the block stages walk: the scoring pass's
 # size, fixed here so that both trees walk the same blocks.
 BLOCK_BYTES = 1 << 20
 
 
 def load_tree(checkout: Path, name: str, defines: tuple, build_dir: str):
     """``checkout``'s ``src/vtcomp`` imported afresh as ``name``, with its
-    ``accum._lib`` its own ``accum._build`` of its ``_accum.c`` with ``defines``."""
+    ``accum._lib`` its own ``accum._build`` of its ``_accum.c`` with ``defines``.
+
+    With no defines that is the library the import just bound, which is kept;
+    it is built only when the import left none, so a failed build raises
+    ``OSError`` instead of timing the numpy bodies."""
     for key in [key for key in sys.modules if key == name or key.startswith(f"{name}.")]:
         del sys.modules[key]
     package = checkout / "src" / "vtcomp"
@@ -80,14 +78,15 @@ def load_tree(checkout: Path, name: str, defines: tuple, build_dir: str):
     tree = importlib.util.module_from_spec(spec)
     sys.modules[name] = tree
     spec.loader.exec_module(tree)
-    tree.accum._lib = tree.accum._build(package / "_accum.c", build_dir, defines)
+    if defines or tree.accum._lib is None:
+        tree.accum._lib = tree.accum._build(package / "_accum.c", build_dir, defines)
     return tree
 
 
-def timed_compress(tree, tensor, threads: int) -> tuple[float, str]:
-    """ms of one ``tree.compress`` at ``threads``, and the sha256 of its outputs."""
+def timed_compress(tree, tensor) -> tuple[float, str]:
+    """ms of one ``tree.compress`` at ``threads=1``, and the sha256 of its outputs."""
     begin = time.perf_counter()
-    result = tree.compress(tensor, threads=threads)
+    result = tree.compress(tensor, threads=1)
     ms = (time.perf_counter() - begin) * 1e3
     digest = hashlib.sha256()
     for array in (*vars(result.report).values(), result.allocation.per_frame_ratio,
@@ -148,8 +147,7 @@ def main(argv=None, grid: dict | None = None) -> int:
     grid = FIXED_GRID if grid is None else grid
     checkouts = {"parent": args.parent, "change": args.change}
 
-    report = {"host": platform.machine(), "threads": COMPRESS_STAGES, "rounds": {},
-              "bodies": {}}
+    report = {"host": platform.machine(), "rounds": {}, "bodies": {}}
     with tempfile.TemporaryDirectory() as build_dir:
         trees = {body: {side: load_tree(path, f"vtcomp_{side}_{body}", defines, build_dir)
                         for side, path in checkouts.items()} for body, defines in BODIES.items()}
@@ -165,23 +163,21 @@ def main(argv=None, grid: dict | None = None) -> int:
             pools = np.random.default_rng(0).standard_normal((max(POOLS), frames, dim))
             expected = None
             for body, sides in trees.items():
-                times = {side: {stage: [] for stage in (*COMPRESS_STAGES, *BLOCK_STAGES)}
+                times = {side: {stage: [] for stage in ("compress_ms", *BLOCK_STAGES)}
                          for side in SIDES}
                 for r in range(rounds):
                     for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                        tree, stage_ms, digests = sides[side], {}, []
-                        for stage, threads in COMPRESS_STAGES.items():
-                            stage_ms[stage], digest = timed_compress(tree, tensor, threads)
-                            digests.append(digest)
-                        block_ms, b_digest = timed_blocks(tree.accum, tensor.values, pools)
-                        digests.append(b_digest)
+                        compress_ms, c_digest = timed_compress(sides[side], tensor)
+                        block_ms, b_digest = timed_blocks(sides[side].accum, tensor.values,
+                                                          pools)
+                        digests = [c_digest, b_digest]
                         if expected is None:
                             expected = digests
                         if digests != expected:
                             print(f"ab_kernels: {body} body of {side} gives other bytes "
                                   f"at {name} in round {r}", file=sys.stderr)
                             return 1
-                        for stage, ms in {**stage_ms, **block_ms}.items():
+                        for stage, ms in {"compress_ms": compress_ms, **block_ms}.items():
                             times[side][stage].append(ms)
                 report["bodies"].setdefault(body, {})[name] = {
                     **{side: {stage: summary(ms) for stage, ms in stages.items()}

@@ -2,8 +2,8 @@
 
 Everything that sums floats in this package goes through the helpers below,
 which pin one accumulation order so results are reproducible bit-for-bit
-across runs, platforms with IEEE-754 doubles, and any frame-chunked thread
-split:
+across runs, platforms with IEEE-754 doubles, and any split of the frames
+into blocks:
 
   * per-frame channel sums add tokens in ascending token order;
   * video-level sums fold the per-frame subtotals in ascending frame order;
@@ -20,13 +20,13 @@ Every other float sum goes through ``ordered_sums``, in ascending order.
 ``frame_token_sums``, ``transpose_tokens`` and ``token_reductions`` also
 have a C body in ``_accum.c`` that keeps the same order bit for bit.  It is
 compiled once, at import, into ``__pycache__`` (named by a hash of source
-and flags, so later imports only load it) and called through ``ctypes``,
-which releases the GIL for the frame-chunked threads.  The body is picked
-once per process: ``KERNEL`` is ``"c"`` when the library built and loaded,
-and the C body then runs for every input; it is ``"numpy"`` when it did not
-(no compiler, an unwritable cache directory, a failed load), and only then
-do the numpy bodies, also the parity reference, run.  Inputs are copied to
-C order where needed.  Building at import keeps the compile out of timing.
+and flags, so later imports only load it) and called through ``ctypes``.
+The body is picked once per process: ``KERNEL`` is ``"c"`` when the
+library built and loaded, and the C body then runs for every input; it is
+``"numpy"`` when it did not (no compiler, an unwritable cache directory, a
+failed load), and only then do the numpy bodies, also the parity
+reference, run.  Inputs are copied to C order where needed.  Building at
+import keeps the compile out of timing.
 
 On x86-64 glibc builds the library carries a second, AVX2 body of each C
 kernel and picks one at load time from the CPU it runs on; the bits are
@@ -39,7 +39,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -51,7 +50,7 @@ from .errors import ShapeMismatchError, int_in
 # -ffp-contract=off forbids fusing a multiply and an add into one FMA, which
 # rounds once instead of twice.
 _FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-# Channel-major block one scoring worker transposes and reduces at a time:
+# Channel-major block the scoring pass transposes and reduces at a time:
 # small enough to stay in a per-core L2 between the two passes.
 _BLOCK_BYTES = 1 << 20
 
@@ -153,8 +152,8 @@ def transpose_tokens(values: np.ndarray, out: np.ndarray | None = None,
     (D', (stop - start)*M) float32.
 
     Works frame by frame so each source block stays cache-resident.  With
-    ``out``/``start``/``stop`` a worker fills a block holding just its own
-    frame range; the default is every frame.  ``start`` must be an int in
+    ``out``/``start``/``stop`` a caller fills a block holding just one frame
+    range; the default is every frame.  ``start`` must be an int in
     0..T and ``stop`` one in start..T (:func:`~vtcomp.errors.int_in`), and
     any ``out`` but a writable C-ordered float32 array of that shape
     raises ``ShapeMismatchError`` too.
@@ -194,8 +193,8 @@ def token_reductions(
     (T, D') matrices) whose row [p, t] is a vector frame t's tokens are
     compared against.  Returns the (stop - start, M) squared-norm grid and
     the (P, stop - start, M) dot grids, all accumulated left to right over
-    channels.  The frame range lets threaded callers compute disjoint
-    slices.  A ``start`` that is not an int in 0..T, a ``stop`` that is not
+    channels.  The frame range lets a caller reduce one block at a time.
+    A ``start`` that is not an int in 0..T, a ``stop`` that is not
     one in start..T (:func:`~vtcomp.errors.int_in`), or a block or pool
     matrix of any other shape raises ``ShapeMismatchError``.
     """
@@ -241,35 +240,17 @@ def clamped_cosines(dots: np.ndarray, token_norms: np.ndarray,
     return out
 
 
-def run_chunked(workers: int, frames: int, phase) -> None:
-    """Run phase(start, stop) over contiguous frame chunks.
-
-    ``workers`` is the caller's ``threads``: an int >= 1 of any size
-    (:func:`~vtcomp.errors.int_in`, a ``ConfigError`` naming ``threads``
-    otherwise), capped at the frame count.  Every per-frame quantity is
-    computed independently of the chunking, so output is bit-identical for
-    any worker count; with one worker (or no frames) the phase runs inline.
-    """
-    workers = min(int_in("threads", workers, 1), frames)
-    if workers <= 1:
-        phase(0, frames)
-        return
-    bounds = [(frames * i // workers, frames * (i + 1) // workers) for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for future in [pool.submit(phase, a, b) for a, b in bounds]:
-            future.result()
-
-
-def uniqueness_grids(values: np.ndarray, pool_rows, threads: int = 1) -> np.ndarray:
+def uniqueness_grids(values: np.ndarray, pool_rows) -> np.ndarray:
     """Minus the clamped cosine of every token to each pool matrix.
 
     The one scoring pass: ``values`` (T, M, D') float32 is transposed and
     reduced frame block by frame block against all P (T, D') pool matrices
     at once (``pool_rows``, a (P, T, D') array or a list), then the dot
-    grids become the (P, T, M) array of uniqueness scores in [-1, 1].  Each
-    worker reuses one channel-major buffer of about ``_BLOCK_BYTES`` for its
-    frame chunk; the numpy bodies pay per call, so they take the whole chunk
-    as one block.  A pool matrix of any other shape raises ``ShapeMismatchError``.
+    grids become the (P, T, M) array of uniqueness scores in [-1, 1].  The
+    pass runs on the calling thread and reuses one channel-major buffer of
+    about ``_BLOCK_BYTES``; the numpy bodies pay per call, so they take
+    every frame as one block.  A pool matrix of any other shape raises
+    ``ShapeMismatchError``.
     """
     values = np.ascontiguousarray(values, dtype=np.float32)
     frames, tokens, dim = values.shape
@@ -277,19 +258,14 @@ def uniqueness_grids(values: np.ndarray, pool_rows, threads: int = 1) -> np.ndar
     sq = np.empty((frames, tokens), dtype=np.float64)
     dots = np.empty((len(pools), frames, tokens), dtype=np.float64)
     frame_size = tokens * dim
-    block = max(1, _BLOCK_BYTES // max(1, 4 * frame_size)) if _lib is not None else frames
-
-    def reduce_phase(a: int, b: int) -> None:
-        step = max(1, min(block, b - a))  # a frameless chunk walks no block
-        buf = np.empty(step * frame_size, dtype=np.float32)
-        for t0 in range(a, b, step):
-            t1 = min(t0 + step, b)
-            channel_major = buf[: (t1 - t0) * frame_size].reshape(dim, (t1 - t0) * tokens)
-            transpose_tokens(values, out=channel_major, start=t0, stop=t1)
-            sq[t0:t1], dots[:, t0:t1] = token_reductions(channel_major, frames, tokens,
-                                                         pools, t0, t1)
-
-    run_chunked(threads, frames, reduce_phase)
+    block = _BLOCK_BYTES // max(1, 4 * frame_size) if _lib is not None else frames
+    step = max(1, min(block, frames))  # a frameless tensor walks no block
+    buf = np.empty(step * frame_size, dtype=np.float32)
+    for t0 in range(0, frames, step):
+        t1 = min(t0 + step, frames)
+        channel_major = buf[: (t1 - t0) * frame_size].reshape(dim, (t1 - t0) * tokens)
+        transpose_tokens(values, out=channel_major, start=t0, stop=t1)
+        sq[t0:t1], dots[:, t0:t1] = token_reductions(channel_major, frames, tokens, pools, t0, t1)
 
     pool_norms = np.empty((len(pools), frames, 1), dtype=np.float64)
     for norms, rows in zip(pool_norms, pools):  # one ordered_sums on the stack is slower

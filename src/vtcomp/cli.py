@@ -79,11 +79,8 @@ def _window_list(text: str) -> list:
 
 
 def _threads_value(text: str) -> int:
-    if text == "auto":  # the CPUs this process may run on, not all the host has
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return max(1, os.cpu_count() or 1)
-    return _positive_int(text, "auto", "threads")
+    # Scoring runs on the calling thread, so 'auto' is one thread.
+    return 1 if text == "auto" else _positive_int(text, "auto", "threads")
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
@@ -116,7 +113,8 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
                      type=int, default=defaults.min_tokens_per_frame,
                      help="floor on tokens kept per frame (default %(default)s)")
     sub.add_argument("--threads", type=_threads_value, default=1,
-                     help="worker threads, or 'auto'; output is identical for any count")
+                     help="an int >= 1, or 'auto' (1); no effect, as scoring runs "
+                          "on one thread")
 
 
 def _config_from(args) -> RetentionConfig:
@@ -207,7 +205,7 @@ def _cmd_analyze(args) -> None:
     config = _config_from(args)  # reject bad flags before touching files
     tensor = read_vtok(args.input)
     # compress's scoring and budget path, without gathering the kept rows
-    grids = score_windows(tensor, [1, config.window], threads=args.threads)
+    grids = score_windows(tensor, [1, config.window])
     _, allocation, report = select_mask(config, grids)
     out = args.output if args.output else f"{args.input}.scores.csv"
     token_out = f"{out}.tokens.csv"
@@ -225,7 +223,7 @@ def _cmd_compress(args) -> None:
     policy = Policy(args.policy, _config_from(args), args.seed)
     tensor = read_vtok(args.input)
     total = tensor.frames * tensor.tokens_per_frame
-    selection = policy.run(tensor, threads=args.threads)
+    selection = policy.run(tensor)
     del tensor  # so the input and the padded block are never resident together
     padded, counts = selection.padded()
     sidecar = f"{args.output}.indices.csv"
@@ -288,10 +286,9 @@ def _cmd_ablate(args) -> None:
         window_edges(tensor.frames, window)
     # The base run scores windows 1 and base.window, one more pass the rest.
     # Its result dies on this line, so its kept rows are freed before that pass.
-    report = compress(tensor, base, threads=args.threads).report
+    report = compress(tensor, base).report
     grids = {1: report.frame_score, base.window: report.video_score}
-    grids.update(score_windows(tensor, [w for w in windows if w not in grids],
-                               threads=args.threads))
+    grids.update(score_windows(tensor, [w for w in windows if w not in grids]))
 
     # Aggregation and adjustment change only the counts and the score mode
     # only the ranking, so each distinct budget and grid is built once, and
@@ -339,11 +336,11 @@ def _cmd_bench(args) -> None:
     spec = SyntheticSpec(frames=args.frames, tokens_per_frame=args.tokens,
                          dim=args.dim, model="iid", seed=args.seed)
     tensor = generate(spec)
-    compress(tensor, config, threads=args.threads)  # warmup, untimed
+    compress(tensor, config)  # warmup, untimed
     samples = []
     for _ in range(args.iters):
         start = time.perf_counter()
-        compress(tensor, config, threads=args.threads)
+        compress(tensor, config)
         samples.append((time.perf_counter() - start) * 1000.0)
     ordered = sorted(samples)
     mean = sum(ordered) / len(ordered)

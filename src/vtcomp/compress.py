@@ -40,6 +40,7 @@ from .model import (
     ScoreMode,
     ScoreReport,
     TokenTensor,
+    check_finite,
     enum_in,
     int_in,
     real_in,
@@ -190,29 +191,31 @@ def topk_select(scores, k):
     return np.flatnonzero(keep_top(token_ranks(grid.reshape(1, -1)), [k])[0])
 
 
-def score_windows(tensor: TokenTensor, windows: list, threads: int = 1) -> dict:
+def score_windows(tensor: TokenTensor, windows: list) -> dict:
     """One uniqueness grid per distinct pooling window: ``{window: grid}``.
 
-    The scoring pass of :func:`compress`: frame sums on the calling thread,
-    the (P, T, D') stack of one pool matrix per window, then one
-    ``uniqueness_grids`` call, the one pass ``threads`` splits; its
-    (P, T, M) rows are the windows' grids.  Window 1 pools each frame alone,
-    so its grid is the frame level.  Each grid is bit-identical to the one a
-    single-window call gives; every window is validated before any work,
-    and an empty list gives ``{}`` without a scoring pass, once ``threads``
-    is checked as the chunked pass would check it.
+    The scoring pass of :func:`compress`: the frame sums, the (P, T, D')
+    stack of one pool matrix per window, then one ``uniqueness_grids`` call
+    whose (P, T, M) rows are the windows' grids, all on the calling thread.
+    Window 1 pools each frame alone, so its grid is the frame level.  Each
+    grid is bit-identical to the one a single-window call gives; every
+    window is validated before any work, and an empty list gives ``{}``
+    without a scoring pass.  A NaN or +-inf element, which an unvalidated
+    ``TokenTensor`` may hold, raises ``NonFiniteError`` at the index
+    ``validate`` gives, found from the frame sums.
     """
     windows = list(dict.fromkeys(windows))
     for window in windows:  # every window is checked before any work
         window_edges(tensor.frames, window)
     if not windows:
-        int_in("threads", threads, 1)
         return {}
     values = np.ascontiguousarray(tensor.values, dtype=np.float32)  # one copy for both passes
-    frame_sums = accum.frame_token_sums(values)
+    with np.errstate(invalid="ignore"):  # the numpy body warns on inf + -inf
+        frame_sums = accum.frame_token_sums(values)
+    check_finite(values, frame_sums)
     pools = np.array([pools_from_frame_sums(frame_sums, values.shape[1], window)
                       for window in windows])
-    return dict(zip(windows, accum.uniqueness_grids(values, pools, threads)))
+    return dict(zip(windows, accum.uniqueness_grids(values, pools)))
 
 
 def select_budgets(config: RetentionConfig, grids: dict
@@ -259,13 +262,16 @@ def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
     token uniqueness, aggregates it per frame, and softmax-allocates
     per-frame budgets.  Stage 2 adds frame-level uniqueness (the window-1
     pool), combines the scores, and extracts each frame's top-k tokens.
-    Returns the selection plus the budget and score intermediates.
+    Returns the selection plus the budget and score intermediates.  Every
+    step runs on the calling thread: ``threads`` has no effect, but must be
+    an int >= 1.
     """
+    int_in("threads", threads, 1)
     if config is None:
         config = RetentionConfig()
     # One C-ordered float32 copy (none for C-ordered input) serves both the
     # scoring pass and the gather of the kept rows.
     values = np.ascontiguousarray(tensor.values, dtype=np.float32)
-    grids = score_windows(TokenTensor(values), [1, config.window], threads)
+    grids = score_windows(TokenTensor(values), [1, config.window])
     keep, allocation, report = select_mask(config, grids)
     return CompressResult(CompressedSelection.from_mask(values, keep), allocation, report)

@@ -115,11 +115,20 @@ def validate(tensor: TokenTensor) -> None:
         raise DimensionMismatchError(f"expected float32 data, got {values.dtype}")
     if min(values.shape) < 1:
         raise DimensionMismatchError(f"every axis must be >= 1, got shape {values.shape}")
-    # A non-finite element makes its frame's float64 sum non-finite, and a
-    # finite float32 sum over M <= 2**32 tokens cannot overflow float64, so
-    # only the first non-finite frame is searched for the C-order index.
     with np.errstate(invalid="ignore"):  # the numpy body warns on inf + -inf
-        finite = np.isfinite(frame_token_sums(values)).all(axis=1)
+        check_finite(values, frame_token_sums(values))
+
+
+def check_finite(values: np.ndarray, frame_sums: np.ndarray) -> None:
+    """Raise ``NonFiniteError`` at the C-order flat index of the first NaN or
+    +-inf element of (T, M, D') float32 ``values``, found from their (T, D')
+    float64 ``frame_token_sums``.
+
+    A non-finite element makes its frame's float64 sum non-finite, and a
+    finite float32 sum over M <= 2**32 tokens cannot overflow float64, so
+    only the first non-finite frame is searched.
+    """
+    finite = np.isfinite(frame_sums).all(axis=1)
     if not finite.all():
         t = int(np.argmin(finite))
         frame = np.isfinite(values[t]).reshape(-1)

@@ -53,12 +53,10 @@ class Policy:
         settings = "".join(f"{k}={v.value if isinstance(v, Enum) else v}, " for k, v in pairs)
         return f"{self.name}({settings}seed={self.seed})"
 
-    def run(self, tensor: TokenTensor, threads: int = 1) -> CompressedSelection:
-        """The policy's selection; ``threads`` must be an int >= 1 for every
-        policy, though only ``compress``'s chunked pass reads it."""
+    def run(self, tensor: TokenTensor) -> CompressedSelection:
+        """The policy's selection."""
         if self.name != "random":
-            return compress(tensor, self.config, threads=threads).selection
-        int_in("threads", threads, 1)
+            return compress(tensor, self.config).selection
         frames, tokens, _ = tensor.values.shape
         counts = allocate_uniform(frames, self.config.ratio, tokens,
                                   self.config.min_tokens_per_frame).per_frame_count
@@ -79,7 +77,7 @@ def random_drop(tensor: TokenTensor, ratio: float, seed: int) -> CompressedSelec
     return Policy("random", RetentionConfig(ratio=ratio), seed).run(tensor)
 
 
-def uniform_topk(tensor: TokenTensor, config: RetentionConfig | None = None,
-                 threads: int = 1) -> CompressedSelection:
+def uniform_topk(tensor: TokenTensor, config: RetentionConfig | None = None
+                 ) -> CompressedSelection:
     """Top-k selection under a fixed per-frame ratio: the "uniform" policy."""
-    return Policy("uniform", config).run(tensor, threads)
+    return Policy("uniform", config).run(tensor)

@@ -194,8 +194,9 @@ class TestCompress:
         assert (tmp_path / "one.vtok.indices.csv").read_bytes() == \
             (tmp_path / "auto.vtok.indices.csv").read_bytes()
 
-    def test_auto_threads_count_the_cpus_this_process_may_use(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    def test_auto_threads_are_one_whatever_the_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert _threads_value("auto") == 1
 
@@ -590,6 +591,16 @@ class TestErrorSurface:
         assert err.startswith("error: flag:") and err.count("\n") == 1
         assert out == ""
 
+    @pytest.mark.parametrize("threads", ["0", "2.5", "True", "1" + "0" * 5000],
+                             ids=["zero", "float", "bool", "huge"])
+    def test_bad_threads_is_flag_error_before_any_read(self, capsys, threads):
+        # --threads is checked when parsed, so the missing input is never read.
+        code, out, err = run(capsys, "compress", "-i", "missing.vtok", "-o", "y.vtok",
+                             "--threads", threads)
+        assert code == 2
+        assert err.startswith("error: flag: argument --threads:")
+        assert out == ""
+
     def test_file_shrunk_during_the_read_is_one_line(self, capsys, tmp_path, monkeypatch):
         import vtcomp.formats
 
@@ -774,64 +785,50 @@ class TestParserPerProcess:
         monkeypatch.setattr(vtcomp.cli, "_parser", None)
         return made
 
-    @pytest.fixture
-    def threads(self, monkeypatch):
-        seen = []
-        real = Policy.run
-        monkeypatch.setattr(Policy, "run",
-                            lambda self, tensor, threads=1: seen.append(threads)
-                            or real(self, tensor, threads=threads))
-        return seen
+    def _outputs(self, capsys, call):
+        argv, files = call
+        code, out, err = run(capsys, *argv)
+        return code, out, err, [Path(f).read_bytes() for f in files]
 
-    def _outputs(self, capsys, call, threads):
-        argv, files, cpus = call
-        threads.clear()
-        with pytest.MonkeyPatch.context() as patch:
-            if cpus is not None:
-                patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                              raising=False)
-            code, out, err = run(capsys, *argv)
-        return code, out, err, [Path(f).read_bytes() for f in files], list(threads)
-
-    def _same_as_alone(self, capsys, monkeypatch, builds, threads, calls):
-        together = [self._outputs(capsys, call, threads) for call in calls]
+    def _same_as_alone(self, capsys, monkeypatch, builds, calls):
+        together = [self._outputs(capsys, call) for call in calls]
         assert len(builds) == 1
         for call, shared in zip(calls, together):
             monkeypatch.setattr(vtcomp.cli, "_parser", None)
-            assert self._outputs(capsys, call, threads) == shared
+            assert self._outputs(capsys, call) == shared
         assert len(builds) == 1 + len(calls)
         return together
 
-    def test_ablate_windows_then_default(self, capsys, tmp_path, monkeypatch, builds,
-                                         threads):
+    def test_ablate_windows_then_default(self, capsys, tmp_path, monkeypatch, builds):
         src = gen(capsys, tmp_path, frames=8, tokens=6, dim=4)
         first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-        together = self._same_as_alone(capsys, monkeypatch, builds, threads, [
-            (["ablate", "-i", str(src), "-o", str(first), "--windows", "2"], [first], None),
-            (["ablate", "-i", str(src), "-o", str(second)], [second], None),
+        together = self._same_as_alone(capsys, monkeypatch, builds, [
+            (["ablate", "-i", str(src), "-o", str(first), "--windows", "2"], [first]),
+            (["ablate", "-i", str(src), "-o", str(second)], [second]),
         ])
         assert {row.split(",")[3] for row in together[1][1].splitlines()[2:]} == \
             {"global", "4", "2"}
 
-    def test_random_policy_then_default_compress(self, capsys, tmp_path, monkeypatch, builds,
-                                                 threads):
+    def test_random_policy_then_default_compress(self, capsys, tmp_path, monkeypatch,
+                                                 builds):
         src = gen(capsys, tmp_path)
         calls = []
         for name, extra in (("r", ["--policy", "random", "--seed", "3"]), ("d", [])):
             out = tmp_path / f"{name}.vtok"
             calls.append((["compress", "-i", str(src), "-o", str(out), *extra],
-                          [out, f"{out}.indices.csv"], None))
-        together = self._same_as_alone(capsys, monkeypatch, builds, threads, calls)
+                          [out, f"{out}.indices.csv"]))
+        together = self._same_as_alone(capsys, monkeypatch, builds, calls)
         assert together[0][1].startswith("random(") and together[1][1].startswith("vidcom2(")
 
-    def test_auto_threads_read_at_each_call(self, capsys, tmp_path, monkeypatch, builds,
-                                            threads):
+    def test_threads_flags_then_default_compress(self, capsys, tmp_path, monkeypatch,
+                                                 builds):
+        # --threads has no effect: every call writes the same bytes.
         src = gen(capsys, tmp_path)
         calls = []
-        for name, extra, cpus in (("a3", ["--threads", "auto"], 3),
-                                  ("a2", ["--threads", "auto"], 2), ("d", [], 3)):
+        for name, extra in (("t2", ["--threads", "2"]), ("a", ["--threads", "auto"]),
+                            ("d", [])):
             out = tmp_path / f"{name}.vtok"
             calls.append((["compress", "-i", str(src), "-o", str(out), *extra],
-                          [out, f"{out}.indices.csv"], cpus))
-        together = self._same_as_alone(capsys, monkeypatch, builds, threads, calls)
-        assert [outputs[4] for outputs in together] == [[3], [2], [1]]
+                          [out, f"{out}.indices.csv"]))
+        together = self._same_as_alone(capsys, monkeypatch, builds, calls)
+        assert together[0][3] == together[1][3] == together[2][3]

@@ -23,6 +23,7 @@ from vtcomp import (
     Adjustment,
     Aggregation,
     KExceedsMError,
+    NonFiniteError,
     Policy,
     RetentionConfig,
     ScoreMode,
@@ -396,19 +397,46 @@ class TestCompress:
             assert all(np.array_equal(x, y) for x, y in
                        zip(one.selection.compressed, many.selection.compressed))
 
-    def test_frame_sums_run_once_on_the_calling_thread(self, rng, monkeypatch):
-        # Only the reduction pass is threaded: the frame sums are one call on
-        # the whole tensor, made by the thread that called compress.
+    def test_every_kernel_call_runs_on_the_calling_thread(self, rng, monkeypatch):
+        # No thread starts at any ``threads``: the frame sums are one call on
+        # the whole tensor, and every block transpose and reduction is made
+        # by the thread that called compress.
         values = rng.standard_normal((4, 5, 3)).astype(np.float32)
-        calls, sums = [], accum.frame_token_sums
+        calls, started = [], []
+        for name in ("frame_token_sums", "transpose_tokens", "token_reductions"):
+            def spy(*args, kernel=getattr(accum, name), name=name, **kwargs):
+                calls.append((name, np.shape(args[0]), threading.get_ident()))
+                return kernel(*args, **kwargs)
 
-        def spy(array):
-            calls.append((np.shape(array), threading.get_ident()))
-            return sums(array)
-
-        monkeypatch.setattr(accum, "frame_token_sums", spy)
+            monkeypatch.setattr(accum, name, spy)
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
         compress(TokenTensor.from_array(values), threads=2)
-        assert calls == [(values.shape, threading.get_ident())]
+        assert started == []
+        assert {ident for _, _, ident in calls} == {threading.get_ident()}
+        assert {name for name, _, _ in calls} == {"transpose_tokens", "token_reductions",
+                                                  "frame_token_sums"}
+        assert [shape for name, shape, _ in calls if name == "frame_token_sums"] == \
+            [values.shape]
+
+    @given(frames=st.integers(1, 6), tokens=st.integers(1, 7), dim=st.integers(1, 9),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]), numpy_body=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_raw_non_finite_tensor_fails_at_the_validated_index(self, frames, tokens, dim,
+                                                               bad, numpy_body, seed, data):
+        # compress finds a NaN or +-inf in an unvalidated TokenTensor from the
+        # frame sums it scores with, and names the index from_array names.
+        values = np.random.default_rng(seed).standard_normal((frames, tokens, dim))
+        values = values.astype(np.float32)
+        index = data.draw(st.integers(0, values.size - 1))
+        values.reshape(-1)[index] = bad
+        with pytest.raises(NonFiniteError) as validated:
+            TokenTensor.from_array(values)
+        with pytest.raises(NonFiniteError) as scored:
+            _with_lib(None if numpy_body else accum._lib, compress, TokenTensor(values))
+        assert scored.value.flat_index == validated.value.flat_index == index
 
     def test_uniform_adjustment_fixes_ratio(self, rng):
         values = rng.standard_normal((4, 10, 3)).astype(np.float32)
@@ -663,7 +691,7 @@ def _scaled(rng, shape, dtype):
 
 
 # Prints the kernel in use and a digest of every compress output at a shape
-# that reaches the four-channel groups, their tail and both threaded passes.
+# that reaches the four-channel groups, their tail and a threads=2 call.
 DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -804,28 +832,27 @@ class TestCompiledKernels:
         tokens=st.integers(1, 29),
         dim=st.integers(1, 79),
         pools=st.integers(1, 4),
-        threads=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
     def test_block_loop_matches_one_block_per_chunk(self, baseline_lib, frames, tokens,
-                                                    dim, pools, threads, seed):
-        # A compiled worker walks its chunk in blocks of _BLOCK_BYTES, with a
-        # short last block; the numpy body takes the whole chunk as one.
-        # Blocks of one frame, two frames and the whole chunk must all give
+                                                    dim, pools, seed):
+        # The compiled bodies walk the frames in blocks of _BLOCK_BYTES, with
+        # a short last block; the numpy body takes every frame as one block.
+        # Blocks of one frame, two frames and every frame must all give
         # its bytes.  _BLOCK_BYTES is restored here: hypothesis rejects a
         # function-scoped monkeypatch.
         rng = np.random.default_rng(seed)
         values = _scaled(rng, (frames, tokens, dim), np.float32)
         rows = _scaled(rng, (pools, frames, dim), np.float64)
-        expected = _numpy_body(accum.uniqueness_grids, values, rows, threads).tobytes()
+        expected = _numpy_body(accum.uniqueness_grids, values, rows).tobytes()
         frame_bytes = 4 * tokens * dim
         default = accum._BLOCK_BYTES
         try:
             for size in (1, frame_bytes, 2 * frame_bytes + 3, 1 << 20):
                 accum._BLOCK_BYTES = size
                 for lib in (accum._lib, baseline_lib):
-                    got = _with_lib(lib, accum.uniqueness_grids, values, rows, threads)
+                    got = _with_lib(lib, accum.uniqueness_grids, values, rows)
                     assert got.tobytes() == expected, (size, lib)
         finally:
             accum._BLOCK_BYTES = default
@@ -834,12 +861,12 @@ class TestCompiledKernels:
     @pytest.mark.parametrize("shape", [(0, 3, 4), (2, 0, 4), (2, 3, 0)])
     def test_empty_axis_scores_on_every_body(self, baseline_lib, shape):
         # An empty axis runs no frame, no block or no channel: every body
-        # and thread count gives the same (P, T, M) grids.
+        # gives the same (P, T, M) grids.
         frames, tokens, dim = shape
         values = np.zeros(shape, dtype=np.float32)
         rows = np.ones((2, frames, dim))
-        grids = [_with_lib(lib, accum.uniqueness_grids, values, rows, threads)
-                 for lib in (accum._lib, baseline_lib, None) for threads in (1, 2)]
+        grids = [_with_lib(lib, accum.uniqueness_grids, values, rows)
+                 for lib in (accum._lib, baseline_lib, None)]
         assert {grid.shape for grid in grids} == {(2, frames, tokens)}
         assert len({grid.tobytes() for grid in grids}) == 1
         grid = video_uniqueness(TokenTensor(values), rows[0])

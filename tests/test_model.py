@@ -36,7 +36,7 @@ from vtcomp import (
 )
 from vtcomp import accum
 from vtcomp.budget import frame_counts, frame_uniqueness
-from vtcomp.compress import keep_top, score_windows, token_ranks
+from vtcomp.compress import keep_top, token_ranks
 from vtcomp.formats import MAX_AXIS
 from vtcomp.model import shown
 
@@ -427,10 +427,6 @@ INTEGER_ENTRY_POINTS = {
     "topk-select": (lambda v: topk_select(np.arange(5.0), v), KExceedsMError, "k=", (0, 5)),
     "compress-threads": (lambda v: compress(TENSOR, threads=v), ConfigError, "threads",
                          (1, None)),
-    "grids-threads": (lambda v: accum.uniqueness_grids(TENSOR.values, [POOLS], threads=v),
-                      ConfigError, "threads", (1, None)),
-    "windows-threads": (lambda v: score_windows(TENSOR, [], threads=v), ConfigError, "threads",
-                        (1, None)),
     # One value fills one flat cell, so each axis is accepted at 1 alone; any
     # other int is an axis below 1 or a length mismatch, both naming the axis.
     "from-flat-frames": (lambda v: TokenTensor.from_flat(v, 1, 1, [0.0]),
@@ -566,9 +562,6 @@ class TestArgumentRule:
         (lambda: compress(TENSOR, threads=2.5), ConfigError, "threads"),
         (lambda: compress(TENSOR, threads=0), ConfigError, "threads"),
         (lambda: compress(TENSOR, threads=True), ConfigError, "threads"),
-        (lambda: accum.uniqueness_grids(TENSOR.values, [POOLS], threads=2.5), ConfigError,
-         "threads"),
-        (lambda: Policy("random").run(TENSOR, threads=0), ConfigError, "threads"),
         (lambda: keep_top(token_ranks(np.zeros((2, 3))), [Fraction(1, 2), 1]), ConfigError,
          "counts"),
         (lambda: allocate_uniform(2.5, 0.25, 10), ConfigError, "frames"),
@@ -589,7 +582,7 @@ class TestArgumentRule:
         (lambda: accum.token_reductions(EMPTY_BLOCK, 4, 0, [POOLS], start=-1),
          ShapeMismatchError, "start"),
     ], ids=["compress-threads-float", "compress-threads-0", "compress-threads-bool",
-            "grids-threads-float", "random-threads-0", "keep-top-fraction",
+            "keep-top-fraction",
             "uniform-frames-float", "uniform-tokens-float", "uniform-min-tokens-negative",
             "softmax-tau-0", "combine-alpha-nan", "from-flat-huge", "from-flat-float",
             "transpose-start-float", "transpose-stop-huge", "transpose-stop-before-start",
