@@ -13,8 +13,10 @@ import math
 import numpy as np
 
 from . import accum
-from .errors import NonFiniteError, ShapeMismatchError, WindowOutOfRangeError
-from .model import MAX_AXIS, Aggregation, BudgetAllocation, TokenTensor, enum_in, int_in, real_in
+from .errors import (DimensionMismatchError, NonFiniteError, ShapeMismatchError,
+                     WindowOutOfRangeError)
+from .model import (MAX_AXIS, Aggregation, BudgetAllocation, TokenTensor, enum_in,
+                    finite_frame_sums, int_in, real_in, token_values)
 
 
 def window_edges(frames: int, window: int | str) -> list[tuple[int, int]]:
@@ -38,10 +40,11 @@ def global_pool(tensor: TokenTensor, window: int | str = "global") -> np.ndarray
     per-frame token sums folded in ascending frame order then divided by the
     chunk's token count.  ``window == frames`` is bit-identical to
     ``"global"`` because both fold the same per-frame subtotals, and window
-    1 is each frame's own mean (``frame_pool``).
+    1 is each frame's own mean (``frame_pool``).  The tensor is read by the
+    tensor rule (:func:`~vtcomp.model.finite_frame_sums`).
     """
-    frame_sums = accum.frame_token_sums(tensor.values)
-    return pools_from_frame_sums(frame_sums, tensor.tokens_per_frame, window)
+    values = token_values(tensor)
+    return pools_from_frame_sums(finite_frame_sums(values), values.shape[1], window)
 
 
 def pools_from_frame_sums(frame_sums: np.ndarray, tokens: int,
@@ -50,9 +53,13 @@ def pools_from_frame_sums(frame_sums: np.ndarray, tokens: int,
 
     The equal-width chunks fold in one pass, frame j of every chunk added
     in ascending j (the bits of a per-chunk ``ordered_sums``); a shorter
-    tail folds alone.  Window 1 folds nothing: the frame means.
+    tail folds alone.  Window 1 folds nothing: the frame means.  A mean over
+    no frames or no tokens is undefined: a ``DimensionMismatchError``.
     """
     frames = frame_sums.shape[0]
+    if frames < 1 or tokens < 1:
+        raise DimensionMismatchError(
+            f"a pool needs frames and tokens >= 1, got {frames} and {tokens}")
     width = window_edges(frames, window)[0][1]
     full = frames - frames % width
     chunks = frame_sums[:full].reshape(full // width, width, -1)
@@ -72,9 +79,12 @@ def video_uniqueness(tensor: TokenTensor, pools: np.ndarray) -> np.ndarray:
     Lower similarity to the pooled summary means higher uniqueness, so the
     grid lies in [-1, 1] with -1 for tokens aligned with the summary.
     ``pools`` is a (T, D') matrix such as :func:`global_pool` gives; with
-    the window-1 pools this is the frame level.
+    the window-1 pools this is the frame level.  The tensor is read by the
+    tensor rule (:func:`~vtcomp.model.finite_frame_sums`).
     """
-    return accum.uniqueness_grids(tensor.values, [pools])[0]
+    values = token_values(tensor)
+    finite_frame_sums(values)
+    return accum.uniqueness_grids(values, [pools])[0]
 
 
 def frame_uniqueness(u_video: np.ndarray, aggregation: Aggregation = Aggregation.MEAN) -> np.ndarray:

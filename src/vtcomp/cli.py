@@ -348,15 +348,16 @@ def _cmd_bench(args) -> None:
     p95 = ordered[min(len(ordered) - 1, math.ceil(0.95 * len(ordered)) - 1)]
     tokens_per_s = args.frames * args.tokens / (mean / 1000.0)
     peak_kb = _peak_rss_kb()
+    threads = 1  # scoring runs on the calling thread, whatever --threads says
     if args.format == "csv":
         print("frames,tokens,dim,iters,threads,mean_ms,p50_ms,p95_ms,tokens_per_s,"
               "peak_rss_kb,kernel")
         peak = "" if peak_kb is None else peak_kb
-        print(f"{args.frames},{args.tokens},{args.dim},{args.iters},{args.threads},"
+        print(f"{args.frames},{args.tokens},{args.dim},{args.iters},{threads},"
               f"{mean:.3f},{p50:.3f},{p95:.3f},{tokens_per_s:.1f},{peak},{accum.KERNEL}")
     else:
         print(f"shape {args.frames}x{args.tokens}x{args.dim}, "
-              f"{args.iters} iters, {args.threads} thread(s)")
+              f"{args.iters} iters, {threads} thread(s)")
         print(f"per-compress: mean {mean:.3f} ms, p50 {p50:.3f} ms, p95 {p95:.3f} ms")
         print(f"throughput: {tokens_per_s:.0f} tokens/s")
         if peak_kb is not None:

@@ -40,11 +40,12 @@ from .model import (
     ScoreMode,
     ScoreReport,
     TokenTensor,
-    check_finite,
     enum_in,
+    finite_frame_sums,
     int_in,
     real_in,
     shown,
+    token_values,
     weight_sum_in,
 )
 
@@ -199,20 +200,17 @@ def score_windows(tensor: TokenTensor, windows: list) -> dict:
     whose (P, T, M) rows are the windows' grids, all on the calling thread.
     Window 1 pools each frame alone, so its grid is the frame level.  Each
     grid is bit-identical to the one a single-window call gives; every
-    window is validated before any work, and an empty list gives ``{}``
-    without a scoring pass.  A NaN or +-inf element, which an unvalidated
-    ``TokenTensor`` may hold, raises ``NonFiniteError`` at the index
-    ``validate`` gives, found from the frame sums.
+    window is validated before any scoring work, and an empty list gives
+    ``{}`` without a scoring pass.  The tensor is read by the tensor rule
+    (:func:`~vtcomp.model.finite_frame_sums`), whose sums make the pools.
     """
+    values = token_values(tensor)
     windows = list(dict.fromkeys(windows))
-    for window in windows:  # every window is checked before any work
-        window_edges(tensor.frames, window)
+    for window in windows:  # every window is checked before any scoring work
+        window_edges(values.shape[0], window)
     if not windows:
         return {}
-    values = np.ascontiguousarray(tensor.values, dtype=np.float32)  # one copy for both passes
-    with np.errstate(invalid="ignore"):  # the numpy body warns on inf + -inf
-        frame_sums = accum.frame_token_sums(values)
-    check_finite(values, frame_sums)
+    frame_sums = finite_frame_sums(values)
     pools = np.array([pools_from_frame_sums(frame_sums, values.shape[1], window)
                       for window in windows])
     return dict(zip(windows, accum.uniqueness_grids(values, pools)))
@@ -256,22 +254,22 @@ def select_mask(config: RetentionConfig, grids: dict
 
 def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
              threads: int = 1) -> CompressResult:
-    """Run the full two-stage pipeline on a validated tensor.
+    """Run the full two-stage pipeline on a tensor, read by the tensor rule.
 
     Stage 1 pools the video (optionally in frame windows), scores video-level
     token uniqueness, aggregates it per frame, and softmax-allocates
     per-frame budgets.  Stage 2 adds frame-level uniqueness (the window-1
     pool), combines the scores, and extracts each frame's top-k tokens.
-    Returns the selection plus the budget and score intermediates.  Every
-    step runs on the calling thread: ``threads`` has no effect, but must be
-    an int >= 1.
+    Returns the selection plus the budget and score intermediates, none of
+    which aliases ``tensor.values``.  Every step runs on the calling thread:
+    ``threads`` has no effect, but must be an int >= 1.
     """
     int_in("threads", threads, 1)
     if config is None:
         config = RetentionConfig()
-    # One C-ordered float32 copy (none for C-ordered input) serves both the
+    # One C-ordered float32 array (no copy for one already) serves both the
     # scoring pass and the gather of the kept rows.
-    values = np.ascontiguousarray(tensor.values, dtype=np.float32)
+    values = token_values(tensor)
     grids = score_windows(TokenTensor(values), [1, config.window])
     keep, allocation, report = select_mask(config, grids)
     return CompressResult(CompressedSelection.from_mask(values, keep), allocation, report)

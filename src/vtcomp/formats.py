@@ -34,7 +34,7 @@ from .errors import (
     ShapeMismatchError,
     TruncatedPayloadError,
 )
-from .model import MAX_AXIS, BudgetAllocation, ScoreReport, TokenTensor
+from .model import MAX_AXIS, BudgetAllocation, ScoreReport, TokenTensor, token_values
 
 MAGIC = b"VTK1"
 VERSION = 1
@@ -44,17 +44,20 @@ HEADER = struct.Struct("<4sHIII")
 def write_vtok(tensor: TokenTensor, path) -> None:
     """Write a tensor as header plus payload, with no staging copy.
 
-    The payload is the tensor's flat float32 buffer, written straight from
-    memory; only a tensor that is not C-contiguous little-endian float32 is
-    first copied into that layout.  Raises ``DimensionMismatchError``,
-    before the file is opened, for an axis the header cannot hold.
+    The payload is :func:`~vtcomp.model.token_values`' C-ordered float32
+    array, the tensor's own buffer when it is one, written straight from
+    memory as little-endian.  The values are not checked for finiteness:
+    the bytes go out as they are, and :func:`read_vtok` rejects a
+    non-finite one.  Raises ``DimensionMismatchError``, before the file is
+    opened, for values that do not have 3 axes and for an axis the header
+    cannot hold.
     """
-    if max(tensor.values.shape) > MAX_AXIS:
+    shape = np.shape(tensor.values)
+    if max(shape, default=0) > MAX_AXIS:  # before token_values would copy it
         raise DimensionMismatchError(
-            f"shape {tensor.values.shape} has an axis above the .vtok limit {MAX_AXIS}")
-    header = HEADER.pack(MAGIC, VERSION, tensor.frames,
-                         tensor.tokens_per_frame, tensor.dim)
-    payload = np.ascontiguousarray(tensor.flat, dtype="<f4")
+            f"shape {shape} has an axis above the .vtok limit {MAX_AXIS}")
+    payload = token_values(tensor).astype("<f4", copy=False)
+    header = HEADER.pack(MAGIC, VERSION, *payload.shape)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(memoryview(payload).cast("B"))

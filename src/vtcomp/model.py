@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .accum import frame_token_sums, ordered_sums
+from . import accum
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -39,11 +39,12 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 class TokenTensor:
     """A frames x tokens x channels block of float32 token embeddings.
 
-    ``values`` is C-contiguous with index order (frame, token, channel); the
-    flat view is therefore the canonical row-major serialization order.  The
-    raw constructor performs no checks so that deliberately broken tensors
-    can be built for validation tests; use :meth:`from_array` /
-    :meth:`from_flat` to construct validated instances.
+    Index order is (frame, token, channel), so the C-order flat view is the
+    canonical row-major serialization order.  :meth:`from_array` and
+    :meth:`from_flat` copy and validate: use them for a tensor the caller
+    keeps.  The raw constructor wraps ``values`` with no copy and no check,
+    the plug-in form for one call: every reader of a tensor checks it by
+    the tensor rule (:func:`token_values`, :func:`finite_frame_sums`).
     """
 
     values: np.ndarray
@@ -108,31 +109,47 @@ def validate(tensor: TokenTensor) -> None:
     ``NonFiniteError`` (carrying the first offending flat index) when any
     element is NaN or infinite.
     """
-    values = tensor.values
-    if values.ndim != 3:
-        raise DimensionMismatchError(f"expected 3 axes, got {values.ndim}")
-    if values.dtype != np.float32:
-        raise DimensionMismatchError(f"expected float32 data, got {values.dtype}")
+    values = token_values(tensor, cast=False)
     if min(values.shape) < 1:
         raise DimensionMismatchError(f"every axis must be >= 1, got shape {values.shape}")
-    with np.errstate(invalid="ignore"):  # the numpy body warns on inf + -inf
-        check_finite(values, frame_token_sums(values))
+    finite_frame_sums(values)
 
 
-def check_finite(values: np.ndarray, frame_sums: np.ndarray) -> None:
-    """Raise ``NonFiniteError`` at the C-order flat index of the first NaN or
-    +-inf element of (T, M, D') float32 ``values``, found from their (T, D')
-    float64 ``frame_token_sums``.
+def token_values(tensor: TokenTensor, cast: bool = True) -> np.ndarray:
+    """The layout rule: ``tensor``'s values as one C-ordered float32
+    (T, M, D') array, the values themselves when they already are one.
 
-    A non-finite element makes its frame's float64 sum non-finite, and a
-    finite float32 sum over M <= 2**32 tokens cannot overflow float64, so
-    only the first non-finite frame is searched.
+    Values of any other number of axes are a ``DimensionMismatchError``.  So
+    is a dtype other than float32, unless ``cast`` allows a real one: it is
+    then copied as :meth:`TokenTensor.from_array` copies it, a value past the
+    float32 range becoming inf.
     """
+    values = np.asarray(tensor.values)
+    if values.ndim != 3:
+        raise DimensionMismatchError(f"expected 3 axes, got {values.ndim}")
+    if values.dtype != np.float32 and not (cast and values.dtype.kind in "biuf"):
+        raise DimensionMismatchError(f"expected float32 data, got {values.dtype}")
+    with np.errstate(over="ignore"):  # inf, rejected by finite_frame_sums
+        return np.ascontiguousarray(values, dtype=np.float32)
+
+
+def finite_frame_sums(values: np.ndarray) -> np.ndarray:
+    """The finiteness rule: the (T, D') float64 ``accum.frame_token_sums``
+    of :func:`token_values`' array, or a ``NonFiniteError`` at the C-order
+    flat index of the first NaN or +-inf element.
+
+    Such an element makes its frame's float64 sum non-finite, and a finite
+    float32 sum over M <= 2**32 tokens cannot overflow float64, so only the
+    first non-finite frame is searched.
+    """
+    with np.errstate(invalid="ignore"):  # the numpy body warns on inf + -inf
+        frame_sums = accum.frame_token_sums(values)
     finite = np.isfinite(frame_sums).all(axis=1)
     if not finite.all():
         t = int(np.argmin(finite))
         frame = np.isfinite(values[t]).reshape(-1)
         raise NonFiniteError(t * frame.size + int(np.argmin(frame)))
+    return frame_sums
 
 
 def cosine(a, b) -> float:
@@ -157,10 +174,10 @@ def cosine(a, b) -> float:
             index = int(np.argmin(finite))
             raise NonFiniteError(index, f"non-finite value in {name} at flat index {index}")
     av, bv = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (av, bv))
-    na, nb = (math.sqrt(float(ordered_sums(v * v))) for v in (av, bv))
+    na, nb = (math.sqrt(float(accum.ordered_sums(v * v))) for v in (av, bv))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    s = float(ordered_sums(av * bv)) / (na * nb)
+    s = float(accum.ordered_sums(av * bv)) / (na * nb)
     return min(1.0, max(-1.0, s))
 
 

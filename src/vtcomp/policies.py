@@ -18,7 +18,8 @@ import numpy as np
 from .budget import allocate_uniform
 from .compress import compress, keep_top
 from .errors import ConfigError
-from .model import Adjustment, CompressedSelection, RetentionConfig, TokenTensor, int_in
+from .model import (Adjustment, CompressedSelection, RetentionConfig, TokenTensor,
+                    finite_frame_sums, int_in, token_values)
 
 POLICY_NAMES = ("vidcom2", "random", "uniform")
 
@@ -54,16 +55,20 @@ class Policy:
         return f"{self.name}({settings}seed={self.seed})"
 
     def run(self, tensor: TokenTensor) -> CompressedSelection:
-        """The policy's selection."""
+        """The policy's selection.  The random policy reads the tensor by
+        the tensor rule as :func:`compress` does; no frames select none."""
         if self.name != "random":
             return compress(tensor, self.config).selection
-        frames, tokens, _ = tensor.values.shape
+        values = token_values(tensor)
+        finite_frame_sums(values)
+        frames, tokens, _ = values.shape
         counts = allocate_uniform(frames, self.config.ratio, tokens,
                                   self.config.min_tokens_per_frame).per_frame_count
         rng = np.random.Generator(np.random.PCG64(self.seed))
         # A token's rank is its place in its frame's permutation.
-        ranks = np.argsort([rng.permutation(tokens) for _ in range(frames)], axis=1)
-        return CompressedSelection.from_mask(tensor.values, keep_top(ranks, counts))
+        perms = [rng.permutation(tokens) for _ in range(frames)]
+        ranks = np.argsort(np.reshape(perms, (frames, tokens)), axis=1)
+        return CompressedSelection.from_mask(values, keep_top(ranks, counts))
 
 
 def random_drop(tensor: TokenTensor, ratio: float, seed: int) -> CompressedSelection:
