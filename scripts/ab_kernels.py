@@ -16,6 +16,9 @@ bodies every other host runs) for ``baseline``.  The parent makes the inputs.
 For each body and each shape of the fixed grid (``SyntheticSpec(...,
 model="iid", seed=0)``), rounds alternate the sides, the parent first in
 even rounds.  A round times the side's ``compress(tensor, threads=1)``, the
+plug-in call on the tensor's array ``a`` (``compress(TokenTensor(a))``,
+the ``plugin`` stage) and the validated copy's call
+(``compress(TokenTensor.from_array(a))``, the ``from_array`` stage), the
 transpose stage (``transpose_tokens`` over every frame, in blocks of
 ``BLOCK_BYTES`` as the scoring pass walks them) and the reduction stage
 at each pool count P in ``POOLS`` (``token_reductions`` of every block
@@ -25,13 +28,15 @@ scoring pass reads its block; only the first transpose is timed and
 hashed.  The sha256 of every output (the compress report, budgets, kept
 indices and rows, every transposed block and every norm and dot grid, in
 ``POOLS`` order) must be the same for both sides and both bodies in every
-round; on a mismatch the script names it on stderr and exits 1.
+round, and the three compress calls of a round must give the same bytes;
+on a mismatch the script names it on stderr and exits 1.
 Otherwise it prints one JSON object, the best and median ms per body,
 side and shape, and writes it to ``--out`` when given.  Both sides run in
 every round, so each round is a pair: beside the sides, ``pair_ratio``
 records for every stage the median and quartiles (inclusive method) of the
 rounds' change/parent ratios, which a host that changes speed between
-rounds moves less than the side medians.
+rounds moves less than the side medians, and ``plugin_over_from_array``
+the same summary of each side's per-round ``plugin``/``from_array`` ratios.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ FIXED_GRID = {(32, 196, 896): 40, (128, 64, 896): 40, (8, 576, 1024): 40,
 # workload (video and frame pools) and four.
 POOLS = (1, 2, 4)
 BLOCK_STAGES = ("transpose_ms", *(f"reduce_p{p}_ms" for p in POOLS))
+COMPRESS_STAGES = ("compress_ms", "plugin_ms", "from_array_ms")
 # Bytes of the channel-major block the block stages walk: the scoring pass's
 # size, fixed here so that both trees walk the same blocks.
 BLOCK_BYTES = 1 << 20
@@ -83,10 +89,11 @@ def load_tree(checkout: Path, name: str, defines: tuple, build_dir: str):
     return tree
 
 
-def timed_compress(tree, tensor) -> tuple[float, str]:
-    """ms of one ``tree.compress`` at ``threads=1``, and the sha256 of its outputs."""
+def timed_compress(tree, make) -> tuple[float, str]:
+    """ms of one ``tree.compress(make(), threads=1)``, ``make`` included, and
+    the sha256 of its outputs."""
     begin = time.perf_counter()
-    result = tree.compress(tensor, threads=1)
+    result = tree.compress(make(), threads=1)
     ms = (time.perf_counter() - begin) * 1e3
     digest = hashlib.sha256()
     for array in (*vars(result.report).values(), result.allocation.per_frame_ratio,
@@ -163,27 +170,33 @@ def main(argv=None, grid: dict | None = None) -> int:
             pools = np.random.default_rng(0).standard_normal((max(POOLS), frames, dim))
             expected = None
             for body, sides in trees.items():
-                times = {side: {stage: [] for stage in ("compress_ms", *BLOCK_STAGES)}
+                times = {side: {stage: [] for stage in (*COMPRESS_STAGES, *BLOCK_STAGES)}
                          for side in SIDES}
                 for r in range(rounds):
                     for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                        compress_ms, c_digest = timed_compress(sides[side], tensor)
-                        block_ms, b_digest = timed_blocks(sides[side].accum, tensor.values,
-                                                          pools)
-                        digests = [c_digest, b_digest]
+                        tree = sides[side]
+                        makers = (lambda: tensor, lambda: tree.TokenTensor(tensor.values),
+                                  lambda: tree.TokenTensor.from_array(tensor.values))
+                        compressed = [timed_compress(tree, make) for make in makers]
+                        block_ms, b_digest = timed_blocks(tree.accum, tensor.values, pools)
+                        digests = [digest for _, digest in compressed] + [b_digest]
                         if expected is None:
                             expected = digests
-                        if digests != expected:
+                        if digests != expected or len(set(digests[:-1])) != 1:
                             print(f"ab_kernels: {body} body of {side} gives other bytes "
                                   f"at {name} in round {r}", file=sys.stderr)
                             return 1
-                        for stage, ms in {"compress_ms": compress_ms, **block_ms}.items():
+                        compress_ms = dict(zip(COMPRESS_STAGES, (ms for ms, _ in compressed)))
+                        for stage, ms in {**compress_ms, **block_ms}.items():
                             times[side][stage].append(ms)
                 report["bodies"].setdefault(body, {})[name] = {
                     **{side: {stage: summary(ms) for stage, ms in stages.items()}
                        for side, stages in times.items()},
                     "pair_ratio": {stage: pair_ratio(ms, times["change"][stage])
-                                   for stage, ms in times["parent"].items()}}
+                                   for stage, ms in times["parent"].items()},
+                    "plugin_over_from_array": {
+                        side: pair_ratio(stages["from_array_ms"], stages["plugin_ms"])
+                        for side, stages in times.items()}}
 
     text = json.dumps(report, indent=1)
     print(text)

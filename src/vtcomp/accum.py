@@ -42,7 +42,7 @@ import os
 
 import numpy as np
 
-from .errors import ShapeMismatchError, int_in
+from .errors import ShapeMismatchError, array_in, int_in
 
 # No -march=native and no fast-math: the library must give the same bits as
 # numpy on any host, and the cached build must load on any x86-64 CPU that
@@ -133,7 +133,8 @@ def _stacked_pools(pool_rows, frames: int, dim: int) -> np.ndarray:
     array; each is checked first, as numpy raises ValueError on a ragged list."""
     for rows in pool_rows:
         if np.shape(rows) != (frames, dim):
-            raise ShapeMismatchError(f"expected {(frames, dim)} pools, got {np.shape(rows)}")
+            raise ShapeMismatchError(f"expected pool_rows of {(frames, dim)} matrices, "
+                                     f"got {np.shape(rows)}")
     return np.ascontiguousarray(pool_rows, dtype=np.float64).reshape(len(pool_rows), frames, dim)
 
 
@@ -250,11 +251,14 @@ def uniqueness_grids(values: np.ndarray, pool_rows) -> np.ndarray:
     pass runs on the calling thread and reuses one channel-major buffer of
     about ``_BLOCK_BYTES``; the numpy bodies pay per call, so they take
     every frame as one block.  A pool matrix of any other shape raises
-    ``ShapeMismatchError``.
+    ``ShapeMismatchError``, and the stacked pools are read by the array rule
+    (:func:`~vtcomp.errors.array_in`), once per pass: a NaN or +-inf pool
+    element is a ``NonFiniteError``.  The kernels below check shapes only.
     """
     values = np.ascontiguousarray(values, dtype=np.float32)
     frames, tokens, dim = values.shape
-    pools = _stacked_pools(pool_rows, frames, dim)
+    pools = array_in("pool_rows", _stacked_pools(pool_rows, frames, dim),
+                     ("pool", "frame", "channel"))
     sq = np.empty((frames, tokens), dtype=np.float64)
     dots = np.empty((len(pools), frames, tokens), dtype=np.float64)
     frame_size = tokens * dim

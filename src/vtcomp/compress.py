@@ -25,12 +25,13 @@ from .budget import (
     allocate_uniform,
     frame_uniqueness,
     global_pool,
+    pool_axes_in,
     pools_from_frame_sums,
     softmax_weights,
     video_uniqueness,
     window_edges,
 )
-from .errors import ConfigError, KExceedsMError, ShapeMismatchError
+from .errors import ConfigError, KExceedsMError, ShapeMismatchError, array_in
 from .model import (
     Adjustment,
     Aggregation,
@@ -75,14 +76,13 @@ def combine_scores(u_frame, u_video, mode: ScoreMode = ScoreMode.COMBINED,
     In every mode ``alpha`` and ``beta`` are checked as ``RetentionConfig``
     checks them, the pair rule included (:func:`~vtcomp.model.real_in`,
     :func:`~vtcomp.model.weight_sum_in`), and so is ``mode``
-    (:func:`~vtcomp.errors.enum_in`).
+    (:func:`~vtcomp.errors.enum_in`).  Both grids are read by the array rule
+    (:func:`~vtcomp.errors.array_in`): any shape, but the same one.
     """
     alpha, beta = real_in("alpha", alpha), real_in("beta", beta)
     weight_sum_in(alpha, beta)
-    uf = np.asarray(u_frame, dtype=np.float64)
-    uv = np.asarray(u_video, dtype=np.float64)
-    if uf.shape != uv.shape:
-        raise ShapeMismatchError(f"score shapes differ: {uf.shape} vs {uv.shape}")
+    uf = array_in("u_frame", u_frame)
+    uv = array_in("u_video", u_video, shape=uf.shape)
     mode = enum_in("mode", mode, ScoreMode)
     if mode is ScoreMode.COMBINED:
         return np.multiply(uf, alpha) + np.multiply(uv, beta)
@@ -123,13 +123,15 @@ def budget_key(aggregation: Aggregation, adjustment: Adjustment, window) -> tupl
     return Aggregation.MEAN, Adjustment.UNIFORM, 1
 
 
-def token_ranks(grid) -> np.ndarray:
+def token_ranks(scores) -> np.ndarray:
     """Each token's position in its row's stable descending order: (T, M).
 
     Rank 0 is the row's largest score; equal scores rank by lower index
-    first, and -0.0 ties with 0.0.  One ``argsort`` and one scatter.
+    first, and -0.0 ties with 0.0.  One ``argsort`` and one scatter.  The
+    scores are read by the array rule (:func:`~vtcomp.errors.array_in`) as
+    a (T, M) grid.
     """
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = array_in("scores", scores, ("frame", "token"))
     order = np.argsort(-grid, axis=1, kind="stable")
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(grid.shape[1]), axis=1)
@@ -155,13 +157,16 @@ def keep_top(ranks: np.ndarray, counts) -> np.ndarray:
     """The (T, M) keep mask of the ``counts[t]`` best-ranked tokens of row t.
 
     Row t of ``ranks`` places each token, 0 first, so one ranking serves
-    any number of count vectors.  Counts have shape ``(T,)``.  An integer
-    numpy array is used as it is; any other input is converted once, item
-    by item: a bool, or a number that is not whole (NaN, 0.5,
-    ``Fraction(1, 2)``), is a ``ConfigError``, and a whole float, fraction
-    or decimal becomes its int.  A count outside 0..M, of any size or
+    any number of count vectors.  The ranks must be a (T, M) grid, read by
+    the array rule (:func:`~vtcomp.errors.array_in`) in their own dtype,
+    and counts have shape ``(T,)``.  An integer numpy array of counts is
+    used as it is; any other input is converted once, item by item: a
+    bool, or a number that is not whole (NaN, 0.5, ``Fraction(1, 2)``), is
+    a ``ConfigError``, and a whole float, fraction or decimal becomes its
+    int.  A count outside 0..M, of any size or
     infinite, is a ``KExceedsMError`` naming the first.
     """
+    ranks = array_in("ranks", ranks, ("frame", "token"), dtype=None)
     frames, tokens = ranks.shape
     array = counts if isinstance(counts, np.ndarray) else np.asarray(counts, dtype=object)
     if array.shape != (frames,):
@@ -181,15 +186,14 @@ def topk_select(scores, k):
     consumers that rely on positional structure.  Given a (T, M) grid and
     one count per row, returns the (T, M) boolean keep mask whose row t is
     true exactly at ``topk_select(scores[t], k[t])``: that is
-    ``keep_top(token_ranks(scores), k)``.  Scores of any other rank raise
-    ``ShapeMismatchError``.
+    ``keep_top(token_ranks(scores), k)``.  The scores are read by the array
+    rule (:func:`~vtcomp.errors.array_in`), and :func:`token_ranks` rejects
+    any other rank with ``ShapeMismatchError``.
     """
-    grid = np.asarray(scores, dtype=np.float64)
-    if grid.ndim == 2:
-        return keep_top(token_ranks(grid), k)
-    if grid.ndim != 1:
-        raise ShapeMismatchError(f"expected 1-D or 2-D scores, got shape {grid.shape}")
-    return np.flatnonzero(keep_top(token_ranks(grid.reshape(1, -1)), [k])[0])
+    grid = array_in("scores", scores)
+    if grid.ndim == 1:
+        return np.flatnonzero(keep_top(token_ranks(grid.reshape(1, -1)), [k])[0])
+    return keep_top(token_ranks(grid), k)
 
 
 def score_windows(tensor: TokenTensor, windows: list) -> dict:
@@ -202,14 +206,17 @@ def score_windows(tensor: TokenTensor, windows: list) -> dict:
     grid is bit-identical to the one a single-window call gives; every
     window is validated before any scoring work, and an empty list gives
     ``{}`` without a scoring pass.  The tensor is read by the tensor rule
-    (:func:`~vtcomp.model.finite_frame_sums`), whose sums make the pools.
+    (:func:`~vtcomp.model.finite_frame_sums`), whose sums make the pools; a
+    tensor of no frames or no tokens has none (:func:`~vtcomp.budget.pool_axes_in`,
+    checked before the windows).
     """
     values = token_values(tensor)
     windows = list(dict.fromkeys(windows))
-    for window in windows:  # every window is checked before any scoring work
-        window_edges(values.shape[0], window)
     if not windows:
         return {}
+    pool_axes_in(*values.shape[:2])
+    for window in windows:  # every window is checked before any scoring work
+        window_edges(values.shape[0], window)
     frame_sums = finite_frame_sums(values)
     pools = np.array([pools_from_frame_sums(frame_sums, values.shape[1], window)
                       for window in windows])
@@ -225,8 +232,8 @@ def select_budgets(config: RetentionConfig, grids: dict
     keeps it everywhere instead).  Returns ``(allocation, u_t, sigma)``.
     """
     u_video = grids[config.window]
+    u_t = frame_uniqueness(u_video, config.frame_aggregation)  # checks the grid first
     frames, tokens = u_video.shape
-    u_t = frame_uniqueness(u_video, config.frame_aggregation)
     sigma = softmax_weights(u_t, config.temperature, config.epsilon)
     if config.adjustment is Adjustment.ADAPTIVE:
         allocation = allocate(sigma, config.ratio, tokens, config.min_tokens_per_frame)

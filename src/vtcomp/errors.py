@@ -1,14 +1,16 @@
-"""Exception types raised across the package, and the integer and choice checks.
+"""Exception types raised across the package, and the integer, choice and array checks.
 
 Every error carries a short stable ``kind`` string that the CLI prints as
 ``error: <kind>: <message>`` on stderr, so scripts can match on it.
-:func:`int_in` and :func:`enum_in` live here, beside the kinds they raise, so
-that every module (the kernels in :mod:`vtcomp.accum` included) can check an
-integer or a choice the same way.
+:func:`int_in`, :func:`enum_in` and :func:`array_in` live here, beside the
+kinds they raise, so that every module (the kernels in :mod:`vtcomp.accum`
+included) can check an integer, a choice or an array the same way.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class VtcompError(Exception):
@@ -118,6 +120,41 @@ def enum_in(name: str, value, kind):
     except ValueError:
         valid = ", ".join(repr(member.value) for member in kind)
         raise ConfigError(f"{name} must be one of {valid}, got {shown(value)}") from None
+
+
+def array_in(name: str, value, axes: tuple[str, ...] | None = None, shape: tuple | None = None,
+             dtype=np.float64) -> np.ndarray:
+    """The array rule: ``value`` as one C-ordered ``dtype`` array (float64 by
+    default, its own dtype when None), with no copy for one already.
+
+    It must have one axis per name in ``axes`` (any number when None) and,
+    when given, the ``shape``: anything else, or a value that is not one
+    array of real numbers (a ragged list, complex values), is a
+    ``ShapeMismatchError`` naming ``name``.  A NaN or +-inf element is a
+    ``NonFiniteError`` at the C-order flat index of the first
+    (:func:`first_non_finite`), placed on ``axes``; an array of integers or
+    objects holds none.
+    """
+    try:
+        if np.iscomplexobj(value):  # numpy would drop the imaginary parts with a warning
+            raise TypeError
+        array = np.asarray(value, dtype=dtype, order="C")
+    except (OverflowError, TypeError, ValueError):
+        raise ShapeMismatchError(f"{name} must be one array of real numbers") from None
+    if axes is not None and array.ndim != len(axes) or shape is not None and array.shape != shape:
+        wanted = f"shape {shape}" if shape is not None else f"axes ({', '.join(axes)})"
+        raise ShapeMismatchError(f"expected {name} with {wanted}, got shape {array.shape}")
+    if array.dtype.kind == "f" and (index := first_non_finite(array)) is not None:
+        place = "" if axes is None else " (" + ", ".join(
+            f"{axis} {i}" for axis, i in zip(axes, np.unravel_index(index, array.shape))) + ")"
+        raise NonFiniteError(index, f"non-finite value in {name} at flat index {index}{place}")
+    return array
+
+
+def first_non_finite(array: np.ndarray) -> int | None:
+    """The C-order flat index of ``array``'s first NaN or +-inf, None if it has none."""
+    finite = np.isfinite(array)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def shown(value) -> str:

@@ -22,7 +22,9 @@ from .errors import (
     DimensionMismatchError,
     LengthMismatchError,
     NonFiniteError,
+    array_in,
     enum_in,
+    first_non_finite,
     int_in,
     shown,
 )
@@ -144,11 +146,9 @@ def finite_frame_sums(values: np.ndarray) -> np.ndarray:
     """
     with np.errstate(invalid="ignore"):  # the numpy body warns on inf + -inf
         frame_sums = accum.frame_token_sums(values)
-    finite = np.isfinite(frame_sums).all(axis=1)
-    if not finite.all():
-        t = int(np.argmin(finite))
-        frame = np.isfinite(values[t]).reshape(-1)
-        raise NonFiniteError(t * frame.size + int(np.argmin(frame)))
+    if (index := first_non_finite(frame_sums)) is not None:
+        t = index // frame_sums.shape[1]
+        raise NonFiniteError(t * values[t].size + first_non_finite(values[t]))
     return frame_sums
 
 
@@ -159,20 +159,16 @@ def cosine(a, b) -> float:
     channels in float64, each vector first scaled by the power of two of its
     largest magnitude (exact; no square overflows or underflows).  A
     zero-norm vector gives 0.0 (neutral), and the result is clamped to
-    [-1, 1] so floating-point overshoot cannot leak out of the range.  A NaN
-    or +-inf element raises ``NonFiniteError`` naming the vector (``a`` or
-    ``b``) and the flat index of its first such element.
+    [-1, 1] so floating-point overshoot cannot leak out of the range.  Each
+    vector, of any shape, is read by the array rule (:func:`~vtcomp.errors.array_in`):
+    a NaN or +-inf element raises ``NonFiniteError`` naming the vector (``a``
+    or ``b``) and the flat index of its first such element.
     """
-    av = np.asarray(a, dtype=np.float64).reshape(-1)
-    bv = np.asarray(b, dtype=np.float64).reshape(-1)
+    av, bv = array_in("a", a).reshape(-1), array_in("b", b).reshape(-1)
     if av.size != bv.size:
         raise LengthMismatchError(f"vector lengths differ: {av.size} vs {bv.size}")
     if av.size == 0:
         return 0.0
-    for name, v in (("a", av), ("b", bv)):
-        if not (finite := np.isfinite(v)).all():
-            index = int(np.argmin(finite))
-            raise NonFiniteError(index, f"non-finite value in {name} at flat index {index}")
     av, bv = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (av, bv))
     na, nb = (math.sqrt(float(accum.ordered_sums(v * v))) for v in (av, bv))
     if na == 0.0 or nb == 0.0:

@@ -35,7 +35,10 @@ def test_same_source_on_both_sides_gives_equal_bytes(tmp_path):
     for body in ("loaded", "baseline"):
         for side in ("parent", "change"):
             assert set(report["bodies"][body]["3x10x11"][side]) == {
-                "compress_ms", "transpose_ms", "reduce_p1_ms", "reduce_p2_ms", "reduce_p4_ms"}
+                "compress_ms", "plugin_ms", "from_array_ms", "transpose_ms", "reduce_p1_ms",
+                "reduce_p2_ms", "reduce_p4_ms"}
+        assert set(report["bodies"][body]["3x10x11"]["plugin_over_from_array"]) == {
+            "parent", "change"}
         ratios = report["bodies"][body]["3x10x11"]["pair_ratio"]
         assert set(ratios) == set(report["bodies"][body]["3x10x11"]["parent"])
         assert all(set(r) == {"median", "q1", "q3"} and r["q1"] <= r["median"] <= r["q3"]

@@ -35,7 +35,7 @@ from vtcomp import (
     window_edges,
 )
 from vtcomp import accum
-from vtcomp.budget import frame_counts, frame_uniqueness
+from vtcomp.budget import frame_counts, frame_uniqueness, pools_from_frame_sums
 from vtcomp.compress import keep_top, token_ranks
 from vtcomp.formats import MAX_AXIS
 from vtcomp.model import shown
@@ -448,6 +448,9 @@ INTEGER_ENTRY_POINTS = {
                             "tokens_per_frame", (0, MAX_AXIS)),
     "frame-counts-min": (lambda v: frame_counts(np.array([0.5, 1.0]), 10, v), ConfigError,
                          "min_tokens", (1, None)),
+    # Below 1 is a pool over no tokens, a DimensionMismatchError naming them.
+    "pools-tokens": (lambda v: pools_from_frame_sums(POOLS, v, 1),
+                     (ConfigError, DimensionMismatchError), "tokens", (1, MAX_AXIS)),
 }
 
 
@@ -581,12 +584,14 @@ class TestArgumentRule:
          "stop"),
         (lambda: accum.token_reductions(EMPTY_BLOCK, 4, 0, [POOLS], start=-1),
          ShapeMismatchError, "start"),
+        (lambda: pools_from_frame_sums(POOLS, 2.5, 1), ConfigError, "tokens"),
+        (lambda: pools_from_frame_sums(POOLS, True, 1), ConfigError, "tokens"),
     ], ids=["compress-threads-float", "compress-threads-0", "compress-threads-bool",
             "keep-top-fraction",
             "uniform-frames-float", "uniform-tokens-float", "uniform-min-tokens-negative",
             "softmax-tau-0", "combine-alpha-nan", "from-flat-huge", "from-flat-float",
             "transpose-start-float", "transpose-stop-huge", "transpose-stop-before-start",
-            "reductions-start-negative"])
+            "reductions-start-negative", "pools-tokens-float", "pools-tokens-bool"])
     def test_a_bad_scalar_raises_its_kind_naming_it(self, call, kind, name):
         with pytest.raises(kind, match=name) as err:
             call()

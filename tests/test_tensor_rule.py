@@ -129,6 +129,14 @@ class TestEmptyAxes:
         with pytest.raises(DimensionMismatchError, match="a pool needs frames and tokens"):
             READERS[reader](TokenTensor(np.ones((4, 0, 3), dtype=np.float32)))
 
+    @pytest.mark.parametrize("reader", ["compress", "score_windows", "uniform", "vidcom2"])
+    def test_scoring_no_frames_is_a_dimension_mismatch_before_any_window(self, reader):
+        # Not "window must be an int in 1..0": the frame-level window 1 is not the caller's.
+        call = READERS.get(reader) or (lambda t: Policy(reader).run(t))
+        with pytest.raises(DimensionMismatchError,
+                           match=r"a pool needs frames and tokens >= 1, got 0 and 5"):
+            call(TokenTensor(np.ones((0, 5, 3), dtype=np.float32)))
+
     def test_a_pool_over_no_channels_is_empty(self):
         assert global_pool(TokenTensor(np.ones((4, 5, 0), dtype=np.float32))).shape == (4, 0)
 
