@@ -15,28 +15,25 @@ bodies every other host runs) for ``baseline``.  The parent makes the inputs.
 
 For each body and each shape of the fixed grid (``SyntheticSpec(...,
 model="iid", seed=0)``), rounds alternate the sides, the parent first in
-even rounds.  A round times the side's ``compress(tensor, threads=1)``, the
-plug-in call on the tensor's array ``a`` (``compress(TokenTensor(a))``,
-the ``plugin`` stage) and the validated copy's call
-(``compress(TokenTensor.from_array(a))``, the ``from_array`` stage), the
-transpose stage (``transpose_tokens`` over every frame, in blocks of
-``BLOCK_BYTES`` as the scoring pass walks them) and the reduction stage
-at each pool count P in ``POOLS`` (``token_reductions`` of every block
-against the first P of four seeded (T, D') pool matrices).  Before each P
-the block is transposed again, so every P reads a block just written, as the
-scoring pass reads its block; only the first transpose is timed and
-hashed.  The sha256 of every output (the compress report, budgets, kept
-indices and rows, every transposed block and every norm and dot grid, in
+even rounds.  A round times the calls the workloads make, each once and
+through that tree's own function: the plug-in call ``compress(tensor,
+threads=1)`` on the parent's tensor (the ``compress`` stage), the validated
+copy's call ``compress(TokenTensor.from_array(a), threads=1)`` on its array
+``a`` (the ``from_array`` stage), and at each pool count P in ``POOLS`` the
+scoring pass ``accum.uniqueness_grids(a, pools[:P])`` that ``compress``
+makes (the ``score_p{P}`` stages), against the first P of four seeded
+(T, D') pool matrices.  The sha256 of every output (the compress report,
+budgets, kept indices and rows, and every (P, T, M) score grid, in
 ``POOLS`` order) must be the same for both sides and both bodies in every
-round, and the three compress calls of a round must give the same bytes;
+round, and the two compress calls of a round must give the same bytes;
 on a mismatch the script names it on stderr and exits 1.
 Otherwise it prints one JSON object, the best and median ms per body,
 side and shape, and writes it to ``--out`` when given.  Both sides run in
 every round, so each round is a pair: beside the sides, ``pair_ratio``
 records for every stage the median and quartiles (inclusive method) of the
 rounds' change/parent ratios, which a host that changes speed between
-rounds moves less than the side medians, and ``plugin_over_from_array``
-the same summary of each side's per-round ``plugin``/``from_array`` ratios.
+rounds moves less than the side medians, and ``compress_over_from_array``
+the same summary of each side's per-round ``compress``/``from_array`` ratios.
 """
 
 from __future__ import annotations
@@ -57,16 +54,15 @@ import numpy as np
 SIDES = ("parent", "change")
 BODIES = {"loaded": (), "baseline": ("-DVTCOMP_BASELINE_ONLY",)}
 # The fixed shape grid, each with its rounds per body.
+# 64x196x3584 takes 16: the page faults of from_array's 180 MB copy make that
+# stage bimodal there.
 FIXED_GRID = {(32, 196, 896): 40, (128, 64, 896): 40, (8, 576, 1024): 40,
-              (64, 196, 3584): 8}
-# Pool counts of the timed reduction stage: one window, the two of every
+              (64, 196, 3584): 16}
+# Pool counts of the timed scoring stages: one window, the two of every
 # workload (video and frame pools) and four.
 POOLS = (1, 2, 4)
-BLOCK_STAGES = ("transpose_ms", *(f"reduce_p{p}_ms" for p in POOLS))
-COMPRESS_STAGES = ("compress_ms", "plugin_ms", "from_array_ms")
-# Bytes of the channel-major block the block stages walk: the scoring pass's
-# size, fixed here so that both trees walk the same blocks.
-BLOCK_BYTES = 1 << 20
+SCORE_STAGES = tuple(f"score_p{p}_ms" for p in POOLS)
+COMPRESS_STAGES = ("compress_ms", "from_array_ms")
 
 
 def load_tree(checkout: Path, name: str, defines: tuple, build_dir: str):
@@ -103,30 +99,15 @@ def timed_compress(tree, make) -> tuple[float, str]:
     return ms, digest.hexdigest()
 
 
-def timed_blocks(accum, values: np.ndarray, pools: np.ndarray) -> tuple[dict, str]:
-    """ms of ``accum``'s block-wise transpose of every frame and of its
-    reduction of each block at every P in ``POOLS`` (against ``pools[:P]``,
-    each on a block the transpose has just written), and the sha256 of every
-    block and reduction output."""
-    frames, tokens, dim = values.shape
-    frame_size = tokens * dim
-    step = max(1, BLOCK_BYTES // (4 * frame_size))
-    buf = np.empty(step * frame_size, dtype=np.float32)
-    ms, digest = dict.fromkeys(BLOCK_STAGES, 0.0), hashlib.sha256()
-    for t0 in range(0, frames, step):
-        t1 = min(t0 + step, frames)
-        block = buf[: (t1 - t0) * frame_size].reshape(dim, (t1 - t0) * tokens)
-        for p in POOLS:
-            begin = time.perf_counter()
-            accum.transpose_tokens(values, out=block, start=t0, stop=t1)
-            written = time.perf_counter()
-            sq, dots = accum.token_reductions(block, frames, tokens, pools[:p], t0, t1)
-            ms[f"reduce_p{p}_ms"] += (time.perf_counter() - written) * 1e3
-            if p == POOLS[0]:  # every rewrite gives the same block
-                ms["transpose_ms"] += (written - begin) * 1e3
-                digest.update(block.tobytes())
-            digest.update(sq.tobytes())
-            digest.update(dots.tobytes())
+def timed_scores(accum, values: np.ndarray, pools: np.ndarray) -> tuple[dict, str]:
+    """ms of ``accum.uniqueness_grids(values, pools[:P])`` at every P in
+    ``POOLS``, and the sha256 of every (P, T, M) grid."""
+    ms, digest = {}, hashlib.sha256()
+    for p, stage in zip(POOLS, SCORE_STAGES):
+        begin = time.perf_counter()
+        grids = accum.uniqueness_grids(values, pools[:p])
+        ms[stage] = (time.perf_counter() - begin) * 1e3
+        digest.update(grids.tobytes())
     return ms, digest.hexdigest()
 
 
@@ -170,16 +151,16 @@ def main(argv=None, grid: dict | None = None) -> int:
             pools = np.random.default_rng(0).standard_normal((max(POOLS), frames, dim))
             expected = None
             for body, sides in trees.items():
-                times = {side: {stage: [] for stage in (*COMPRESS_STAGES, *BLOCK_STAGES)}
+                times = {side: {stage: [] for stage in (*COMPRESS_STAGES, *SCORE_STAGES)}
                          for side in SIDES}
                 for r in range(rounds):
                     for side in SIDES if r % 2 == 0 else SIDES[::-1]:
                         tree = sides[side]
-                        makers = (lambda: tensor, lambda: tree.TokenTensor(tensor.values),
+                        makers = (lambda: tensor,
                                   lambda: tree.TokenTensor.from_array(tensor.values))
                         compressed = [timed_compress(tree, make) for make in makers]
-                        block_ms, b_digest = timed_blocks(tree.accum, tensor.values, pools)
-                        digests = [digest for _, digest in compressed] + [b_digest]
+                        score_ms, s_digest = timed_scores(tree.accum, tensor.values, pools)
+                        digests = [digest for _, digest in compressed] + [s_digest]
                         if expected is None:
                             expected = digests
                         if digests != expected or len(set(digests[:-1])) != 1:
@@ -187,15 +168,15 @@ def main(argv=None, grid: dict | None = None) -> int:
                                   f"at {name} in round {r}", file=sys.stderr)
                             return 1
                         compress_ms = dict(zip(COMPRESS_STAGES, (ms for ms, _ in compressed)))
-                        for stage, ms in {**compress_ms, **block_ms}.items():
+                        for stage, ms in {**compress_ms, **score_ms}.items():
                             times[side][stage].append(ms)
                 report["bodies"].setdefault(body, {})[name] = {
                     **{side: {stage: summary(ms) for stage, ms in stages.items()}
                        for side, stages in times.items()},
                     "pair_ratio": {stage: pair_ratio(ms, times["change"][stage])
                                    for stage, ms in times["parent"].items()},
-                    "plugin_over_from_array": {
-                        side: pair_ratio(stages["from_array_ms"], stages["plugin_ms"])
+                    "compress_over_from_array": {
+                        side: pair_ratio(stages["from_array_ms"], stages["compress_ms"])
                         for side, stages in times.items()}}
 
     text = json.dumps(report, indent=1)

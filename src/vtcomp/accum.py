@@ -42,7 +42,7 @@ import os
 
 import numpy as np
 
-from .errors import ShapeMismatchError, array_in, int_in
+from .errors import MAX_AXIS, ShapeMismatchError, array_in, int_in
 
 # No -march=native and no fast-math: the library must give the same bits as
 # numpy on any host, and the cached build must load on any x86-64 CPU that
@@ -195,10 +195,13 @@ def token_reductions(
     compared against.  Returns the (stop - start, M) squared-norm grid and
     the (P, stop - start, M) dot grids, all accumulated left to right over
     channels.  The frame range lets a caller reduce one block at a time.
-    A ``start`` that is not an int in 0..T, a ``stop`` that is not
-    one in start..T (:func:`~vtcomp.errors.int_in`), or a block or pool
-    matrix of any other shape raises ``ShapeMismatchError``.
+    A ``frames`` or ``tokens`` that is not an int in 0..``MAX_AXIS``, a
+    ``start`` that is not one in 0..T, a ``stop`` that is not one in
+    start..T (:func:`~vtcomp.errors.int_in`), or a block or pool matrix of
+    any other shape raises ``ShapeMismatchError``.
     """
+    frames = int_in("frames", frames, 0, MAX_AXIS, ShapeMismatchError)
+    tokens = int_in("tokens", tokens, 0, MAX_AXIS, ShapeMismatchError)
     start = int_in("start", start, 0, frames, ShapeMismatchError)
     stop = frames if stop is None else int_in("stop", stop, start, frames, ShapeMismatchError)
     block = np.ascontiguousarray(channel_major, dtype=np.float32)

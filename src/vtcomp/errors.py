@@ -12,6 +12,8 @@ import numbers
 
 import numpy as np
 
+MAX_AXIS = 2**32 - 1  # T, M and D' are uint32 .vtok header fields
+
 
 class VtcompError(Exception):
     """Base class for all package errors."""

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import accum
 from .errors import (
+    MAX_AXIS,
     ConfigError,
     DimensionMismatchError,
     LengthMismatchError,
@@ -28,8 +29,6 @@ from .errors import (
     int_in,
     shown,
 )
-
-MAX_AXIS = 2**32 - 1  # T, M and D' are uint32 .vtok header fields
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:

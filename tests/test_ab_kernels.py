@@ -35,9 +35,8 @@ def test_same_source_on_both_sides_gives_equal_bytes(tmp_path):
     for body in ("loaded", "baseline"):
         for side in ("parent", "change"):
             assert set(report["bodies"][body]["3x10x11"][side]) == {
-                "compress_ms", "plugin_ms", "from_array_ms", "transpose_ms", "reduce_p1_ms",
-                "reduce_p2_ms", "reduce_p4_ms"}
-        assert set(report["bodies"][body]["3x10x11"]["plugin_over_from_array"]) == {
+                "compress_ms", "from_array_ms", "score_p1_ms", "score_p2_ms", "score_p4_ms"}
+        assert set(report["bodies"][body]["3x10x11"]["compress_over_from_array"]) == {
             "parent", "change"}
         ratios = report["bodies"][body]["3x10x11"]["pair_ratio"]
         assert set(ratios) == set(report["bodies"][body]["3x10x11"]["parent"])

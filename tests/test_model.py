@@ -444,6 +444,12 @@ INTEGER_ENTRY_POINTS = {
                          ShapeMismatchError, "start", (0, 4)),
     "reductions-stop": (lambda v: accum.token_reductions(EMPTY_BLOCK, 4, 0, [POOLS], stop=v),
                         ShapeMismatchError, "stop", (0, 4)),
+    # No pool and an empty frame range reduce the same empty block at any
+    # frame or token count.
+    "reductions-frames": (lambda v: accum.token_reductions(EMPTY_BLOCK, v, 0, [], stop=0),
+                          ShapeMismatchError, "frames", (0, MAX_AXIS)),
+    "reductions-tokens": (lambda v: accum.token_reductions(EMPTY_BLOCK, 0, v, []),
+                          ShapeMismatchError, "tokens", (0, MAX_AXIS)),
     "frame-counts-tokens": (lambda v: frame_counts(np.array([0.5, 1.0]), v, 1), ConfigError,
                             "tokens_per_frame", (0, MAX_AXIS)),
     "frame-counts-min": (lambda v: frame_counts(np.array([0.5, 1.0]), 10, v), ConfigError,
@@ -584,6 +590,14 @@ class TestArgumentRule:
          "stop"),
         (lambda: accum.token_reductions(EMPTY_BLOCK, 4, 0, [POOLS], start=-1),
          ShapeMismatchError, "start"),
+        (lambda: accum.token_reductions(EMPTY_BLOCK, 4.0, 0, [POOLS]), ShapeMismatchError,
+         "frames"),
+        (lambda: accum.token_reductions(EMPTY_BLOCK, "4", 0, [POOLS]), ShapeMismatchError,
+         "frames"),
+        (lambda: accum.token_reductions(EMPTY_BLOCK, True, 0, [POOLS]), ShapeMismatchError,
+         "frames"),
+        (lambda: accum.token_reductions(EMPTY_BLOCK, 4, 0.0, [POOLS]), ShapeMismatchError,
+         "tokens"),
         (lambda: pools_from_frame_sums(POOLS, 2.5, 1), ConfigError, "tokens"),
         (lambda: pools_from_frame_sums(POOLS, True, 1), ConfigError, "tokens"),
     ], ids=["compress-threads-float", "compress-threads-0", "compress-threads-bool",
@@ -591,7 +605,9 @@ class TestArgumentRule:
             "uniform-frames-float", "uniform-tokens-float", "uniform-min-tokens-negative",
             "softmax-tau-0", "combine-alpha-nan", "from-flat-huge", "from-flat-float",
             "transpose-start-float", "transpose-stop-huge", "transpose-stop-before-start",
-            "reductions-start-negative", "pools-tokens-float", "pools-tokens-bool"])
+            "reductions-start-negative", "reductions-frames-float", "reductions-frames-str",
+            "reductions-frames-bool", "reductions-tokens-float", "pools-tokens-float",
+            "pools-tokens-bool"])
     def test_a_bad_scalar_raises_its_kind_naming_it(self, call, kind, name):
         with pytest.raises(kind, match=name) as err:
             call()
