@@ -84,7 +84,8 @@ def _threads_value(text: str) -> int:
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    """One flag per ``RetentionConfig`` field: dest is the field, default its default."""
+    """One flag per ``RetentionConfig`` field, and no other: dest is the field,
+    default its default.  ``--threads`` is not a field; ``compress`` alone takes it."""
     defaults = RetentionConfig()
     sub.add_argument("--ratio", dest="ratio", type=float, default=defaults.ratio,
                      help="average retention ratio in (0, 1] (default %(default)s)")
@@ -112,9 +113,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--min-tokens", dest="min_tokens_per_frame", metavar="MIN_TOKENS",
                      type=int, default=defaults.min_tokens_per_frame,
                      help="floor on tokens kept per frame (default %(default)s)")
-    sub.add_argument("--threads", type=_threads_value, default=1,
-                     help="an int >= 1, or 'auto' (1); no effect, as scoring runs "
-                          "on one thread")
 
 
 def _config_from(args) -> RetentionConfig:
@@ -157,6 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--policy", choices=POLICY_NAMES, default="vidcom2")
     comp.add_argument("--seed", type=int, default=0,
                       help="seed for the random policy")
+    comp.add_argument("--threads", type=_threads_value, default=1,
+                      help="an int >= 1, or 'auto' (1); no effect, as scoring runs "
+                           "on one thread")
     _add_config_flags(comp)
     comp.set_defaults(func=_cmd_compress)
 
@@ -348,16 +349,13 @@ def _cmd_bench(args) -> None:
     p95 = ordered[min(len(ordered) - 1, math.ceil(0.95 * len(ordered)) - 1)]
     tokens_per_s = args.frames * args.tokens / (mean / 1000.0)
     peak_kb = _peak_rss_kb()
-    threads = 1  # scoring runs on the calling thread, whatever --threads says
     if args.format == "csv":
-        print("frames,tokens,dim,iters,threads,mean_ms,p50_ms,p95_ms,tokens_per_s,"
-              "peak_rss_kb,kernel")
+        print("frames,tokens,dim,iters,mean_ms,p50_ms,p95_ms,tokens_per_s,peak_rss_kb,kernel")
         peak = "" if peak_kb is None else peak_kb
-        print(f"{args.frames},{args.tokens},{args.dim},{args.iters},{threads},"
+        print(f"{args.frames},{args.tokens},{args.dim},{args.iters},"
               f"{mean:.3f},{p50:.3f},{p95:.3f},{tokens_per_s:.1f},{peak},{accum.KERNEL}")
     else:
-        print(f"shape {args.frames}x{args.tokens}x{args.dim}, "
-              f"{args.iters} iters, {threads} thread(s)")
+        print(f"shape {args.frames}x{args.tokens}x{args.dim}, {args.iters} iters")
         print(f"per-compress: mean {mean:.3f} ms, p50 {p50:.3f} ms, p95 {p95:.3f} ms")
         print(f"throughput: {tokens_per_s:.0f} tokens/s")
         if peak_kb is not None:

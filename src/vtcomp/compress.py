@@ -41,6 +41,7 @@ from .model import (
     ScoreMode,
     ScoreReport,
     TokenTensor,
+    config_in,
     enum_in,
     finite_frame_sums,
     int_in,
@@ -230,7 +231,9 @@ def select_budgets(config: RetentionConfig, grids: dict
     Aggregates the video level ``grids[config.window]`` per frame and
     softmax-allocates budgets around the preset ratio (uniform adjustment
     keeps it everywhere instead).  Returns ``(allocation, u_t, sigma)``.
+    ``config`` is read by :func:`~vtcomp.model.config_in`.
     """
+    config = config_in(config)
     u_video = grids[config.window]
     u_t = frame_uniqueness(u_video, config.frame_aggregation)  # checks the grid first
     frames, tokens = u_video.shape
@@ -249,8 +252,10 @@ def select_mask(config: RetentionConfig, grids: dict
     Reads :func:`score_windows` grids: ``grids[1]`` is the frame level and
     ``grids[config.window]`` the video level.  Takes the budgets from
     :func:`select_budgets`, combines both grids and ranks them in one call.
-    Returns ``(keep, allocation, report)``.
+    Returns ``(keep, allocation, report)``.  ``config`` is read by
+    :func:`~vtcomp.model.config_in`.
     """
+    config = config_in(config)
     u_frame, u_video = grids[1], grids[config.window]
     allocation, u_t, sigma = select_budgets(config, grids)
     combined = combine_scores(u_frame, u_video, config.score_mode,
@@ -268,12 +273,12 @@ def compress(tensor: TokenTensor, config: RetentionConfig | None = None,
     per-frame budgets.  Stage 2 adds frame-level uniqueness (the window-1
     pool), combines the scores, and extracts each frame's top-k tokens.
     Returns the selection plus the budget and score intermediates, none of
-    which aliases ``tensor.values``.  Every step runs on the calling thread:
+    which aliases ``tensor.values``.  ``config`` is read by
+    :func:`~vtcomp.model.config_in`.  Every step runs on the calling thread:
     ``threads`` has no effect, but must be an int >= 1.
     """
     int_in("threads", threads, 1)
-    if config is None:
-        config = RetentionConfig()
+    config = config_in(config)
     # One C-ordered float32 array (no copy for one already) serves both the
     # scoring pass and the gather of the kept rows.
     values = token_values(tensor)

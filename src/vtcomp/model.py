@@ -265,6 +265,18 @@ def real_in(field: str, value, name: str | None = None) -> float:
     return number
 
 
+def config_in(config) -> RetentionConfig:
+    """``config`` as a ``RetentionConfig``: ``RetentionConfig()`` for None,
+    a ``RetentionConfig`` as it is, and anything else a ``ConfigError``
+    naming ``config``."""
+    if config is None:
+        return RetentionConfig()
+    if not isinstance(config, RetentionConfig):
+        raise ConfigError(f"config must be a RetentionConfig or None, "
+                          f"got {type(config).__name__}")
+    return config
+
+
 def weight_sum_in(alpha: float, beta: float) -> None:
     """The pair rule on two checked weights: 0 < alpha + beta < inf."""
     # |alpha*u_f + beta*u_v| <= fl(alpha + beta): a finite sum cannot overflow.

@@ -1,9 +1,9 @@
 """Reference selection policies sharing one interface for head-to-head runs.
 
-Each policy resolves to one ``RetentionConfig`` when built (``uniform`` and
-``random`` take uniform budgets), then ranks tokens, ``random`` by a seeded
-permutation and the others with :func:`compress`, and cuts with ``keep_top``.
-Policies are attention-free: they read only the token tensor, never model
+Each policy resolves to one ``RetentionConfig`` when built, then ranks
+tokens, ``vidcom2`` with :func:`compress` and ``random`` by a seeded
+permutation under uniform budgets, and cuts with ``keep_top``.  Policies
+are attention-free: they read only the token tensor, never model
 internals.  Each is pure given (input, seed) and emits the same
 ascending-index, exact-copy selections as the main pipeline.
 """
@@ -19,20 +19,20 @@ from .budget import allocate_uniform
 from .compress import compress, keep_top
 from .errors import ConfigError
 from .model import (Adjustment, CompressedSelection, RetentionConfig, TokenTensor,
-                    finite_frame_sums, int_in, token_values)
+                    config_in, finite_frame_sums, int_in, token_values)
 
-POLICY_NAMES = ("vidcom2", "random", "uniform")
+POLICY_NAMES = ("vidcom2", "random")
 
 
 @dataclass(frozen=True)
 class Policy:
-    """A named selection policy: the adaptive pipeline, a fixed-ratio
-    variant, or seeded random dropping.
+    """A named selection policy: the uniqueness pipeline under the budgets
+    its config asks for, or seeded random dropping under uniform budgets.
 
-    ``config`` is resolved once and is never None: ``RetentionConfig()``
-    by default, with uniform budgets for ``uniform`` and ``random``.  The
-    seed, an int >= 0, only matters for the random policy; identical
-    (name, config, seed, input) always produces identical output.
+    ``config`` is read once by :func:`~vtcomp.model.config_in` and is never
+    None: ``RetentionConfig()`` by default, with uniform budgets for
+    ``random``.  The seed, an int >= 0, only matters for the random policy;
+    identical (name, config, seed, input) always produces identical output.
     """
 
     name: str
@@ -43,8 +43,8 @@ class Policy:
         if self.name not in POLICY_NAMES:
             raise ConfigError(f"unknown policy {self.name!r}, expected one of {POLICY_NAMES}")
         object.__setattr__(self, "seed", int_in("seed", self.seed, 0))
-        config = self.config or RetentionConfig()
-        if self.name in ("uniform", "random"):
+        config = config_in(self.config)
+        if self.name == "random":
             config = replace(config, adjustment=Adjustment.UNIFORM)
         object.__setattr__(self, "config", config)
 
@@ -84,5 +84,5 @@ def random_drop(tensor: TokenTensor, ratio: float, seed: int) -> CompressedSelec
 
 def uniform_topk(tensor: TokenTensor, config: RetentionConfig | None = None
                  ) -> CompressedSelection:
-    """Top-k selection under a fixed per-frame ratio: the "uniform" policy."""
-    return Policy("uniform", config).run(tensor)
+    """Top-k selection under a fixed per-frame ratio: ``adjustment=uniform``."""
+    return compress(tensor, replace(config_in(config), adjustment=Adjustment.UNIFORM)).selection

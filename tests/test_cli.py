@@ -204,7 +204,7 @@ class TestCompress:
         src = gen(capsys, tmp_path, frames=2, tokens=196, dim=3)
         out = tmp_path / "u.vtok"
         assert run(capsys, "compress", "-i", str(src), "-o", str(out),
-                   "--policy", "uniform", "--ratio", "0.25")[0] == 0
+                   "--adjustment", "uniform", "--ratio", "0.25")[0] == 0
         sidecar = (tmp_path / "u.vtok.indices.csv").read_text().strip().split("\n")
         assert len(sidecar) == 1 + 2 * 49
 
@@ -346,7 +346,6 @@ class TestAblate:
             outs.append((score_csv.read_bytes(), matrix_csv.read_bytes()))
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("shape, flag, windows", [
         ((16, 50, 67), None, ["global", 8, 4]),  # D not a multiple of 4
         ((9, 1, 5), None, ["global", 4, 2]),  # one token per frame
@@ -355,12 +354,12 @@ class TestAblate:
         ((6, 5, 7), "1,3", ["global", 1, 3]),  # the frame level as a window
     ])
     def test_matrix_equals_one_compress_per_cell(self, capsys, tmp_path, shape,
-                                                 flag, windows, threads):
+                                                 flag, windows):
         frames, tokens, dim = shape
         src = gen(capsys, tmp_path, frames=frames, tokens=tokens, dim=dim,
                   model="outlier", outlier=frames // 3, noise=0.3, seed=sum(shape))
         out_csv = tmp_path / "m.csv"
-        argv = ["ablate", "-i", str(src), "-o", str(out_csv), "--threads", threads]
+        argv = ["ablate", "-i", str(src), "-o", str(out_csv)]
         if flag is not None:
             argv += ["--windows", flag]
         code, _, err = run(capsys, *argv)
@@ -513,8 +512,8 @@ class TestBench:
         assert code == 0
         header, row = out.strip().split("\n")
         assert header.startswith("frames,tokens,dim,iters")
-        cells = row.split(",")
-        assert float(cells[5]) > 0.0  # mean_ms
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["mean_ms"]) > 0.0
 
     def test_reports_which_kernel_ran(self, capsys):
         code, out, _ = run(capsys, "bench", "--frames", "2", "--tokens", "4",
@@ -600,6 +599,24 @@ class TestErrorSurface:
         assert code == 2
         assert err.startswith("error: flag: argument --threads:")
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "-i", "missing.vtok", "--threads", "2"],
+        ["ablate", "-i", "missing.vtok", "--threads", "2"],
+        ["bench", "--threads", "2"],
+        ["compress", "-i", "missing.vtok", "-o", "y.vtok", "--policy", "uniform"],
+    ], ids=["analyze-threads", "ablate-threads", "bench-threads", "compress-uniform-policy"])
+    def test_removed_option_is_flag_error_before_any_input(self, capsys, tmp_path,
+                                                            monkeypatch, argv):
+        # Uniform budgets are --adjustment uniform, and only compress takes
+        # --threads: each is a flag error before any input is read or generated.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(vtcomp.cli, "generate", lambda spec: pytest.fail("generated"))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: flag:") and err.count("\n") == 1
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_file_shrunk_during_the_read_is_one_line(self, capsys, tmp_path, monkeypatch):
         import vtcomp.formats

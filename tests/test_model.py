@@ -31,12 +31,13 @@ from vtcomp import (
     generate,
     softmax_weights,
     topk_select,
+    uniform_topk,
     validate,
     window_edges,
 )
 from vtcomp import accum
 from vtcomp.budget import frame_counts, frame_uniqueness, pools_from_frame_sums
-from vtcomp.compress import keep_top, token_ranks
+from vtcomp.compress import keep_top, select_budgets, select_mask, token_ranks
 from vtcomp.formats import MAX_AXIS
 from vtcomp.model import shown
 
@@ -600,6 +601,12 @@ class TestArgumentRule:
          "tokens"),
         (lambda: pools_from_frame_sums(POOLS, 2.5, 1), ConfigError, "tokens"),
         (lambda: pools_from_frame_sums(POOLS, True, 1), ConfigError, "tokens"),
+        (lambda: compress(TENSOR, "abc"), ConfigError, "config"),
+        (lambda: compress(TENSOR, {}), ConfigError, "config"),
+        (lambda: Policy("vidcom2", {}), ConfigError, "config"),
+        (lambda: uniform_topk(TENSOR, 5), ConfigError, "config"),
+        (lambda: select_budgets("abc", {}), ConfigError, "config"),
+        (lambda: select_mask({}, {}), ConfigError, "config"),
     ], ids=["compress-threads-float", "compress-threads-0", "compress-threads-bool",
             "keep-top-fraction",
             "uniform-frames-float", "uniform-tokens-float", "uniform-min-tokens-negative",
@@ -607,7 +614,9 @@ class TestArgumentRule:
             "transpose-start-float", "transpose-stop-huge", "transpose-stop-before-start",
             "reductions-start-negative", "reductions-frames-float", "reductions-frames-str",
             "reductions-frames-bool", "reductions-tokens-float", "pools-tokens-float",
-            "pools-tokens-bool"])
+            "pools-tokens-bool", "compress-config-str", "compress-config-dict",
+            "policy-config-dict", "uniform-topk-config-int", "select-budgets-config-str",
+            "select-mask-config-dict"])
     def test_a_bad_scalar_raises_its_kind_naming_it(self, call, kind, name):
         with pytest.raises(kind, match=name) as err:
             call()

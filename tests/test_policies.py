@@ -101,13 +101,14 @@ class TestUniformTopk:
 
 
 class TestPolicy:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ConfigError):
-            Policy("fancy")
+    # Uniform budgets are adjustment=uniform, not a policy.
+    @pytest.mark.parametrize("name", ["fancy", "uniform"])
+    def test_unknown_policy_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"unknown policy {name!r}"):
+            Policy(name)
 
     def test_descriptors_name_their_settings(self):
         assert "seed=5" in Policy("random", seed=5).descriptor
-        assert "uniform" in Policy("uniform").descriptor
         assert "vidcom2" in Policy("vidcom2").descriptor
 
     def test_run_dispatch_matches_direct_calls(self, tensor):
@@ -123,14 +124,14 @@ class TestPolicy:
                    for a, b in zip(rand_direct.kept_indices, rand_via.kept_indices))
 
     def test_identical_inputs_identical_outputs(self, tensor):
-        for name in ("vidcom2", "random", "uniform"):
+        for name in POLICY_NAMES:
             p = Policy(name, RetentionConfig(ratio=0.5), seed=4)
             a = p.run(tensor)
             b = p.run(tensor)
             assert all(np.array_equal(x, y) for x, y in zip(a.kept_indices, b.kept_indices))
 
 
-@pytest.mark.parametrize("name", ["vidcom2", "random", "uniform"])
+@pytest.mark.parametrize("name", POLICY_NAMES)
 @pytest.mark.parametrize("seed", [-1, 2.0, None])
 def test_policy_seed_must_be_a_non_negative_int(name, seed):
     with pytest.raises(ConfigError):
@@ -175,10 +176,9 @@ class TestOneBudgetRule:
     @given(cases(), st.integers(0, 2**32 - 1))
     def test_uniform_budgets_are_one_rule(self, case, seed):
         tensor, cfg = case
-        uniform = Policy("uniform", cfg).run(tensor)
+        uniform = uniform_topk(tensor, cfg)
         vidcom2 = Policy("vidcom2", replace(cfg, adjustment=Adjustment.UNIFORM)).run(tensor)
         assert _same_bytes(uniform, vidcom2)
-        assert _same_bytes(uniform, uniform_topk(tensor, cfg))
         frames, tokens, _ = tensor.values.shape
         counts = allocate_uniform(frames, cfg.ratio, tokens, cfg.min_tokens_per_frame)
         assert uniform.counts.tolist() == counts.per_frame_count.tolist()

@@ -22,6 +22,7 @@ from vtcomp import (
     frame_pool,
     frame_token_uniqueness,
     global_pool,
+    uniform_topk,
     validate,
     video_uniqueness,
 )
@@ -38,7 +39,7 @@ READERS = {
     "score_windows": lambda t: score_windows(t, [1, 2]),
     "compress": compress,
     "random": lambda t: Policy("random", seed=1).run(t),
-    "uniform": lambda t: Policy("uniform").run(t),
+    "uniform": uniform_topk,
     "global_pool": global_pool,
     "frame_pool": frame_pool,
     "video_uniqueness": lambda t: video_uniqueness(t, np.ones((SHAPE[0], SHAPE[2]))),
@@ -214,12 +215,13 @@ class TestPlugInCall:
         assert not any(np.shares_memory(a, values) for a in arrays)
 
 
-def test_bench_reports_the_one_thread_it_runs(capsys):
-    flags = ["bench", "--frames", "2", "--tokens", "4", "--dim", "4", "--iters", "1",
-             "--threads", "4"]
+def test_bench_takes_no_threads(capsys):
+    # Scoring runs on the calling thread, so bench neither takes nor reports threads.
+    flags = ["bench", "--frames", "2", "--tokens", "4", "--dim", "4", "--iters", "1"]
+    assert cli.main(flags + ["--threads", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: flag: unrecognized arguments: --threads")
     assert cli.main(flags) == 0
-    assert "1 iters, 1 thread(s)" in capsys.readouterr().out
+    assert "thread" not in capsys.readouterr().out
     assert cli.main(flags + ["--format", "csv"]) == 0
-    header, row = capsys.readouterr().out.strip().split("\n")
-    cells = dict(zip(header.split(","), row.split(",")))
-    assert cells["threads"] == "1"
+    header, _ = capsys.readouterr().out.strip().split("\n")
+    assert "threads" not in header.split(",")
